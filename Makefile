@@ -16,17 +16,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# Race detector over the whole module; -short skips the training-based
+# integration tests, which add minutes under -race and no concurrency.
 race:
-	$(GO) test -race ./internal/obs/
-	$(GO) test -race ./internal/hw/
-	$(GO) test -race ./internal/mat/
-	$(GO) test -race ./internal/ncs/ -run 'TestTrialSet'
-	$(GO) test -race ./internal/experiment/ -run 'TestFig2|TestParallel|TestFaultSweep|TestRegistry|TestRunners|TestTrial|TestRetry|TestPanic|TestPartial|TestCheckpoint|TestFatal|TestSaveTrial|TestNonPartial|TestEnsemble|TestVec|TestMutating|TestBatchStage|TestSoaSweep|TestScalarTrial|TestCrashDemo'
-	$(GO) test -race ./cmd/vortexsim/
-	$(GO) test -race ./internal/fault/
-	$(GO) test -race ./internal/fleet/
-	$(GO) test -race ./internal/serve/
-	$(GO) test -race ./internal/chaos/
+	$(GO) test -race -short ./...
 
 # Regenerates every paper table/figure plus the extension studies at
 # Default scale and records the outputs at the repository root.

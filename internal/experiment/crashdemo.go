@@ -55,6 +55,7 @@ func init() {
 	register(Runner{
 		Name:        "crashdemo",
 		Description: "deliberately panic one Monte-Carlo trial (crash-dump, retry and flight-recorder demo)",
+		Demo:        true,
 		Run: func(ctx context.Context, s Scale, seed uint64) (Result, error) {
 			n := crashDemoTrials(s)
 			vals, done, err := parallelTrials(ctx, n, func(t Trial) (float64, error) {

@@ -107,22 +107,26 @@ const vecChunk = 32
 
 // parallelTrialsBatch is parallelTrials with an optional vectorized fast
 // path: when batchFn is non-nil, pending trials are first evaluated in
-// index-ordered chunks through it — one call computing a whole chunk of
-// trial values at once — and only the trials the batch stage could not
-// complete fall back to the scalar per-trial engine. The resilience
-// contract is unchanged and the output is byte-identical to the scalar
-// path, because the batch stage reuses the same bookkeeping per trial
-// (checkpoint resume and saveTrial under the same keys, progress ticks,
-// completion mask) and every batch evaluator is required to produce
-// bit-identical values to fn (the SoA parity suites assert this):
+// contiguous, index-ordered chunks through it — one call computing a
+// whole chunk of trial values at once, up to GOMAXPROCS chunks running
+// concurrently on the same fan-out as the scalar engine — and only the
+// trials the batch stage could not complete fall back to the scalar
+// per-trial engine. The resilience contract is unchanged and the output
+// is byte-identical to the scalar path, because the batch stage reuses
+// the same bookkeeping per trial (checkpoint resume and saveTrial under
+// the same keys, progress ticks, completion mask) and every batch
+// evaluator is required to produce bit-identical values to fn (the SoA
+// parity suites assert this):
 //
 //   - batchFn(ctx, idxs) must return one value per index in idxs, each
 //     equal to what fn would compute for that trial index; ctx carries
-//     the chunk span for child-span attribution.
-//   - A batch error or panic abandons the vectorized stage (with a debug
-//     log and a fallback counter tick) and the remaining trials run
-//     per-trial — retries, panic isolation and partial degradation then
-//     apply exactly as without a batch path.
+//     the chunk span for child-span attribution. Calls for different
+//     chunks run concurrently, so batchFn must only read shared state.
+//   - The first batch error or panic stops the vectorized stage (with a
+//     debug log and one fallback counter tick): chunks already running
+//     finish and keep their values, the failed chunk and every chunk not
+//     yet started run per-trial — retries, panic isolation and partial
+//     degradation then apply exactly as without a batch path.
 //   - Trials replayed from a checkpoint never reach batchFn, so a resumed
 //     run mixes stored scalar and fresh vectorized values freely.
 //
@@ -195,7 +199,6 @@ func parallelTrialsBatch[T any](ctx context.Context, n int, batchFn func(ctx con
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -208,8 +211,8 @@ func parallelTrialsBatch[T any](ctx context.Context, n int, batchFn func(ctx con
 		cancel()
 	}
 	// runTrial executes every attempt of one trial. Each done[i] is
-	// written by exactly one worker and read only after wg.Wait, so the
-	// mask needs no lock.
+	// written by exactly one worker and read only after fanOut returns,
+	// so the mask needs no lock.
 	runTrial := func(i int) {
 		var lastErr error
 		attempts := 0
@@ -262,33 +265,7 @@ func parallelTrialsBatch[T any](ctx context.Context, n int, batchFn func(ctx con
 		}
 		fail(te)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runTrial(i)
-			}
-		}()
-	}
-dispatch:
-	for _, i := range pending {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
+	fanOut(ctx, len(pending), func(k int) { runTrial(pending[k]) })
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
@@ -335,26 +312,66 @@ func safeTrial[T any](fn func(Trial) (T, error), t Trial) (v T, err error) {
 	return fn(t)
 }
 
+// fanOut calls work(0..n-1) on up to GOMAXPROCS workers, handing the
+// indices out in order. Once ctx is done no further index is handed
+// out; fanOut returns after every call already started has returned.
+// It is the one worker pool of the sweep engine: the scalar stage runs
+// one trial per index, the vectorized stage one chunk per index.
+func fanOut(ctx context.Context, n int, work func(k int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range next {
+				work(k)
+			}
+		}()
+	}
+dispatch:
+	for k := 0; k < n; k++ {
+		select {
+		case next <- k:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
+}
+
 // runBatchStage drains as much of pending as it can through the batch
-// evaluator, in index-ordered chunks of vecChunk, and returns the trial
-// indices still unevaluated. Each completed trial is recorded exactly as
-// the scalar engine records it — same out/done slots, same checkpoint
-// keys, same progress ticks — so downstream behavior cannot tell the
-// stages apart. The first batch error or panic abandons the stage: the
-// failed chunk and everything after it go back to the scalar engine,
-// whose per-trial retries and panic isolation then apply.
+// evaluator and returns the trial indices still unevaluated, in index
+// order. pending is cut into contiguous, index-ordered chunks of at most
+// vecChunk trials, and the chunks run concurrently through fanOut. Each
+// completed trial is recorded exactly as the scalar engine records it —
+// same out/done slots, same checkpoint keys, same progress ticks — so
+// downstream behavior cannot tell the stages apart.
+//
+// The first batch error or panic stops the stage: chunks already running
+// finish and keep their values (they are bit-identical to scalar ones),
+// while the failed chunk and every chunk not yet started go back to the
+// scalar engine, whose per-trial retries and panic isolation then apply.
+// experiment.vec.fallbacks ticks once per failed stage. A dying ctx
+// stops the dispatch the same way, without the tick; the scalar engine
+// then drains and reports the cancellation once.
 func runBatchStage[T any](ctx context.Context, st *sweepState, seq, n int, pending []int, batchFn func(ctx context.Context, idxs []int) ([]T, error), out []T, done []bool, progress *obs.Progress) []int {
-	for start := 0; start < len(pending); start += vecChunk {
-		if ctx.Err() != nil {
-			// The sweep is stopping; hand the rest to the scalar engine,
-			// which drains and reports the cancellation once.
-			return pending[start:]
+	// stage stops the dispatch on the first failure; running chunks keep
+	// ctx, so stopping the stage never cancels a batch in flight.
+	stage, stop := context.WithCancel(ctx)
+	defer stop()
+	var failed atomic.Bool
+	chunks := (len(pending) + vecChunk - 1) / vecChunk
+	fanOut(stage, chunks, func(c int) {
+		if stage.Err() != nil {
+			return // the dispatch select may hand out one index after a stop
 		}
-		end := start + vecChunk
-		if end > len(pending) {
-			end = len(pending)
-		}
-		chunk := pending[start:end]
+		chunk := pending[c*vecChunk : min((c+1)*vecChunk, len(pending))]
 		cctx, csp := obs.StartSpanCtx(ctx, "chunk", "first", chunk[0], "trials", len(chunk))
 		chunkStart := time.Now()
 		vals, err := safeBatch(cctx, batchFn, chunk)
@@ -363,12 +380,14 @@ func runBatchStage[T any](ctx context.Context, st *sweepState, seq, n int, pendi
 			err = fmt.Errorf("batch evaluator returned %d values for %d trials", len(vals), len(chunk))
 		}
 		if err != nil {
-			obs.Default().Counter("experiment.vec.fallbacks").Inc()
-			obs.RecordEvent("vec.fallback", "chunk", "first", chunk[0],
-				"remaining", len(pending)-start, "err", err)
-			obs.L().Debug("vectorized stage failed; falling back to per-trial evaluation",
-				"trials", len(pending)-start, "err", err)
-			return pending[start:]
+			stop()
+			if failed.CompareAndSwap(false, true) {
+				obs.Default().Counter("experiment.vec.fallbacks").Inc()
+				obs.RecordEvent("vec.fallback", "chunk", "first", chunk[0], "err", err)
+				obs.L().Debug("vectorized stage failed; falling back to per-trial evaluation",
+					"first", chunk[0], "err", err)
+			}
+			return
 		}
 		for k, i := range chunk {
 			out[i], done[i] = vals[k], true
@@ -388,8 +407,16 @@ func runBatchStage[T any](ctx context.Context, st *sweepState, seq, n int, pendi
 		}
 		obs.Default().Counter("experiment.vec.trials").Add(int64(len(chunk)))
 		progress.Add(len(chunk))
+	})
+	// Each done[i] was written by the one worker that ran its chunk and
+	// is read only now that fanOut has returned.
+	var rest []int
+	for _, i := range pending {
+		if !done[i] {
+			rest = append(rest, i)
+		}
 	}
-	return nil
+	return rest
 }
 
 // safeBatch runs one batch evaluation with panic isolation, mirroring

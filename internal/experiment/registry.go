@@ -30,6 +30,10 @@ type Runner struct {
 	// Run executes the driver. Implementations honor ctx cancellation:
 	// a canceled context aborts the run promptly with ctx.Err().
 	Run func(ctx context.Context, scale Scale, seed uint64) (Result, error)
+	// Demo marks a fixture that exercises the tooling rather than
+	// reproducing a result, and may fail by design (crashdemo). Front
+	// ends run it only when named, never as part of "all".
+	Demo bool
 }
 
 var (

@@ -30,6 +30,16 @@ func TestRegistryCoversAllDrivers(t *testing.T) {
 	}
 }
 
+// Demo fixtures fail by design, so "all" must skip them; crashdemo is
+// the only one, and every paper driver stays in "all".
+func TestDemoRunnersMarked(t *testing.T) {
+	for _, r := range Runners() {
+		if r.Demo != (r.Name == "crashdemo") {
+			t.Errorf("runner %q: Demo = %v", r.Name, r.Demo)
+		}
+	}
+}
+
 func TestRunnersSorted(t *testing.T) {
 	rs := Runners()
 	for i := 1; i < len(rs); i++ {

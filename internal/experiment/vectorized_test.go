@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vortex/internal/core"
 	"vortex/internal/dataset"
@@ -233,14 +236,21 @@ func TestBatchStageFallback(t *testing.T) {
 }
 
 // TestBatchStageChunksAndBookkeeping checks the vectorized stage hands
-// the evaluator index-ordered chunks of at most vecChunk trials and
-// records every completed trial in the shared mask.
+// the evaluator disjoint, contiguous, index-ordered chunks of at most
+// vecChunk trials that together cover every trial, and records every
+// completed trial in the shared mask. Chunks run concurrently, so only
+// the chunk shapes are asserted, never the order of the calls.
 func TestBatchStageChunksAndBookkeeping(t *testing.T) {
 	const n = vecChunk*2 + 5
-	var calls [][]int
+	var (
+		mu    sync.Mutex
+		calls [][]int
+	)
 	vals, done, err := parallelTrialsBatch(context.Background(), n,
 		func(ctx context.Context, idxs []int) ([]int, error) {
+			mu.Lock()
 			calls = append(calls, append([]int(nil), idxs...))
+			mu.Unlock()
 			out := make([]int, len(idxs))
 			for k, i := range idxs {
 				out[k] = i * 10
@@ -257,21 +267,186 @@ func TestBatchStageChunksAndBookkeeping(t *testing.T) {
 	if len(calls) != 3 {
 		t.Fatalf("batch evaluator called %d times, want 3", len(calls))
 	}
-	want := 0
+	seen := make([]int, n)
 	for _, chunk := range calls {
-		if len(chunk) > vecChunk {
-			t.Fatalf("chunk of %d trials exceeds vecChunk=%d", len(chunk), vecChunk)
+		if len(chunk) == 0 || len(chunk) > vecChunk {
+			t.Fatalf("chunk of %d trials, want 1..vecChunk=%d", len(chunk), vecChunk)
 		}
-		for _, i := range chunk {
-			if i != want {
-				t.Fatalf("chunk order: got trial %d, want %d", i, want)
+		for k, i := range chunk {
+			if k > 0 && i != chunk[k-1]+1 {
+				t.Fatalf("chunk %v is not contiguous and index-ordered", chunk)
 			}
-			want++
+			seen[i]++
+		}
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("trial %d handed to the evaluator %d times, want exactly once", i, c)
 		}
 	}
 	for i := range vals {
 		if !done[i] || vals[i] != i*10 {
 			t.Fatalf("trial %d: done=%v val=%d", i, done[i], vals[i])
+		}
+	}
+}
+
+// TestBatchStageChunkFailsMidSweep fails batch chunks of an eight-chunk
+// sweep and checks the fallback rule: chunks that completed keep their
+// values, the scalar engine runs exactly the trials the batch stage did
+// not complete — no trial computed by both, none by neither — and the
+// fallback counter ticks exactly once per sweep. In the second case the
+// two workers' chunks fail together, and no later chunk may start.
+func TestBatchStageChunkFailsMidSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const chunks = 8
+	const n = chunks * vecChunk
+	fallbacks := obs.Default().Counter("experiment.vec.fallbacks")
+	for _, tc := range []struct {
+		name     string
+		fail     func(first int) bool
+		together bool // the first two failing calls wait for each other
+	}{
+		{"chunk 3 fails", func(first int) bool { return first == 3*vecChunk }, false},
+		{"chunks 0 and 1 fail together", func(int) bool { return true }, true},
+	} {
+		before := fallbacks.Value()
+		var (
+			mu      sync.Mutex
+			batched = make([]int, n)
+			scalar  = make([]int, n)
+			calls   atomic.Int64
+			entered atomic.Int64
+			both    = make(chan struct{})
+		)
+		vals, done, err := parallelTrialsBatch(context.Background(), n,
+			func(ctx context.Context, idxs []int) ([]int, error) {
+				calls.Add(1)
+				if tc.fail(idxs[0]) {
+					if tc.together {
+						if entered.Add(1) == 2 {
+							close(both)
+						}
+						waitFor(t, both, tc.name+": the second failing chunk")
+					}
+					return nil, errors.New("chunk failed")
+				}
+				mu.Lock()
+				for _, i := range idxs {
+					batched[i]++
+				}
+				mu.Unlock()
+				out := make([]int, len(idxs))
+				for k, i := range idxs {
+					out[k] = i * 10
+				}
+				return out, nil
+			},
+			func(tr Trial) (int, error) {
+				mu.Lock()
+				scalar[tr.Index]++
+				mu.Unlock()
+				return tr.Index * 10, nil
+			})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range vals {
+			if !done[i] || vals[i] != i*10 {
+				t.Fatalf("%s: trial %d: done=%v val=%d", tc.name, i, done[i], vals[i])
+			}
+			if batched[i]+scalar[i] != 1 {
+				t.Fatalf("%s: trial %d computed %d times by the batch stage and %d by the scalar engine, want exactly once in all",
+					tc.name, i, batched[i], scalar[i])
+			}
+			if tc.fail(i/vecChunk*vecChunk) && scalar[i] != 1 {
+				t.Fatalf("%s: trial %d of a failed chunk not re-run by the scalar engine", tc.name, i)
+			}
+		}
+		if tc.together && calls.Load() != 2 {
+			t.Errorf("%s: %d chunks started, want only the 2 that failed together", tc.name, calls.Load())
+		}
+		if got := fallbacks.Value() - before; got != 1 {
+			t.Errorf("%s: fallback counter rose by %d, want 1", tc.name, got)
+		}
+	}
+}
+
+// waitFor blocks until ch is closed, failing the test instead of hanging
+// when a schedule the test relies on never happens.
+func waitFor(t *testing.T, ch <-chan struct{}, what string) {
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Errorf("%s never happened", what)
+	}
+}
+
+// TestBatchStageCancelMidStage cancels the sweep from inside one of two
+// concurrently running chunks. Both running chunks finish and keep their
+// values; no later chunk starts, the scalar engine runs nothing, and the
+// sweep reports the cancellation once — as ctx.Err() in the classic
+// contract, as holes in the completion mask in partial mode. A
+// cancellation is not a batch failure, so the fallback counter stays.
+func TestBatchStageCancelMidStage(t *testing.T) {
+	// Two workers make the schedule deterministic: chunk 1 cancels once
+	// chunk 0 has started, and chunk 0 returns only after the
+	// cancellation, so exactly those two chunks ever run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 8 * vecChunk
+	fallbacks := obs.Default().Counter("experiment.vec.fallbacks")
+	for _, partial := range []bool{false, true} {
+		before := fallbacks.Value()
+		st := newSweepState("vectest", Quick, 7, RunConfig{Partial: partial})
+		ctx, cancel := context.WithCancel(withSweepState(context.Background(), st))
+		started, released := make(chan struct{}), make(chan struct{})
+		var calls atomic.Int64
+		vals, done, err := parallelTrialsBatch(ctx, n,
+			func(ctx context.Context, idxs []int) ([]int, error) {
+				calls.Add(1)
+				switch idxs[0] {
+				case 0:
+					close(started)
+					waitFor(t, released, "the cancellation in chunk 1")
+				case vecChunk:
+					waitFor(t, started, "the start of chunk 0")
+					cancel()
+					close(released)
+				}
+				out := make([]int, len(idxs))
+				for k, i := range idxs {
+					out[k] = i * 10
+				}
+				return out, nil
+			},
+			func(tr Trial) (int, error) {
+				t.Errorf("partial=%v: scalar engine ran trial %d under a canceled context", partial, tr.Index)
+				return tr.Index * 10, nil
+			})
+		cancel()
+		if got := calls.Load(); got != 2 {
+			t.Errorf("partial=%v: %d chunks started, want the 2 running at the cancellation", partial, got)
+		}
+		if got := fallbacks.Value() - before; got != 0 {
+			t.Errorf("partial=%v: fallback counter rose by %d on a cancellation", partial, got)
+		}
+		if !partial {
+			if !errors.Is(err, context.Canceled) || vals != nil {
+				t.Fatalf("classic: got non-nil vals=%v err=%v, want nil vals and context.Canceled", vals != nil, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("partial: %v", err)
+		}
+		for i := range done {
+			want := i < 2*vecChunk
+			if done[i] != want || (want && vals[i] != i*10) {
+				t.Fatalf("partial: trial %d: done=%v val=%d, want done=%v", i, done[i], vals[i], want)
+			}
+		}
+		if got := st.missing.Load(); got != n-2*vecChunk {
+			t.Errorf("partial: %d trials missing, want %d", got, n-2*vecChunk)
 		}
 	}
 }
@@ -341,7 +516,8 @@ func TestBatchStageCheckpointResume(t *testing.T) {
 
 // TestSoaSweepPolicyParity runs the soasweep driver end to end under
 // VecForce and VecScalar and requires byte-identical CSV — the in-process
-// version of the CI parity smoke.
+// version of the CI parity smoke. Default scale runs 64 trials, two
+// chunks, so the vectorized arm evaluates chunks concurrently.
 func TestSoaSweepPolicyParity(t *testing.T) {
 	r, ok := Lookup("soasweep")
 	if !ok {
@@ -349,7 +525,7 @@ func TestSoaSweepPolicyParity(t *testing.T) {
 	}
 	run := func(pol VecPolicy) string {
 		ctx := WithRunConfig(context.Background(), RunConfig{Vectorize: pol})
-		res, err := r.Run(ctx, Quick, 3)
+		res, err := r.Run(ctx, Default, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
