@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"vortex/internal/chaos"
-	"vortex/internal/hw"
 	"vortex/internal/obs"
 	"vortex/internal/serve"
 )
@@ -67,7 +66,6 @@ func run() int {
 		addr    = flag.String("addr", ":8372", "listen address")
 		scale   = flag.String("scale", "quick", "fleet protocol scale: quick, default or full")
 		members = flag.Int("members", 3, "arrays in the serving fleet")
-		backend = flag.String("backend", "analytic", "array backend: analytic or circuit")
 		sigma   = flag.Float64("sigma", 0.3, "lognormal fabrication variation")
 		seed    = flag.Uint64("seed", 42, "training and fabrication seed")
 
@@ -107,23 +105,11 @@ func run() int {
 	}
 	obs.SetLogger(log)
 
-	var be hw.Backend
-	switch *backend {
-	case "analytic":
-		be = hw.Analytic
-	case "circuit":
-		be = hw.Circuit
-	default:
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want analytic or circuit)\n", *backend)
-		return exitUsage
-	}
-
 	bootStart := time.Now()
-	log.Info("booting fleet", "scale", *scale, "members", *members, "backend", *backend, "seed", *seed)
+	log.Info("booting fleet", "scale", *scale, "members", *members, "seed", *seed)
 	boot, err := serve.BuildFleet(serve.BootConfig{
 		Scale:   *scale,
 		Members: *members,
-		Backend: be,
 		Sigma:   *sigma,
 		Seed:    *seed,
 	})

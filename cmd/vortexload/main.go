@@ -9,7 +9,7 @@
 // Usage:
 //
 //	vortexload -addr 127.0.0.1:8372 -scale quick -n 10000 -c 8 -proto binary
-//	vortexload -selfserve -scale quick -n 40000 -c 16 -o BENCH_pr9.json
+//	vortexload -selfserve -scale quick -n 40000 -c 16 -o load.json
 //	vortexload -addr 127.0.0.1:8372 -retries 4 -hedge 50ms -req-timeout 2s
 //
 // Resilience: -retries arms the binary workers' retry policy (capped
@@ -19,8 +19,10 @@
 // machinery did: retries, hedges, hedge wins and timeouts.
 //
 // -selfserve boots a fleet and a serve.Server in-process on a loopback
-// listener, drives it over real TCP, then drains it — the one-command
-// benchmark mode behind `make bench-json-serve`.
+// listener, drives it over real TCP, then drains it: one command, no
+// second process. The repository benchmark (benchmark/README.md) is
+// the measured serving workload; vortexload is the interactive and
+// smoke-test driver.
 //
 // The -o report records p50/p90/p99/p999/max latency, qps, accuracy,
 // rejection counts and (when reachable) the server's /statz snapshot.
@@ -84,9 +86,8 @@ type latencySummary struct {
 	Count int     `json:"count"`
 }
 
-// report is the -o JSON schema (BENCH_pr9.json).
+// report is the -o JSON schema.
 type report struct {
-	PR          int            `json:"pr"`
 	Date        string         `json:"date"`
 	GoVersion   string         `json:"go_version"`
 	GOMAXPROCS  int            `json:"gomaxprocs"`
@@ -126,7 +127,7 @@ func run() int {
 		conc      = flag.Int("c", 8, "concurrent closed-loop workers (connections)")
 		proto     = flag.String("proto", "binary", "protocol: json, binary or mixed (workers alternate)")
 		connWait  = flag.Duration("connect-timeout", 15*time.Second, "how long to wait for the server to accept connections")
-		out       = flag.String("o", "", "write the JSON report here (e.g. BENCH_pr9.json)")
+		out       = flag.String("o", "", "write the JSON report here (e.g. load.json)")
 
 		retries      = flag.Int("retries", 1, "binary: max attempts per request (1 = no retries)")
 		retryBackoff = flag.Duration("retry-backoff", 10*time.Millisecond, "binary: first retry's backoff ceiling (doubles, jittered)")
@@ -429,7 +430,6 @@ func fetchStats(addr string) (*serve.Stats, error) {
 func buildReport(stats []workerStats, elapsed time.Duration, proto, scale, addr string, conc int, n int64, selfserve bool) *report {
 	var all []float64
 	rep := &report{
-		PR:          9,
 		Date:        time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),

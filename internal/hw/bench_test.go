@@ -6,43 +6,122 @@ import (
 
 	"vortex/internal/device"
 	"vortex/internal/hw"
+	"vortex/internal/mat"
+	"vortex/internal/obs"
 	"vortex/internal/rng"
+	"vortex/internal/xbar"
 )
 
-// BenchmarkBackend measures the read-path throughput of both backends at
-// the paper-scale 784x10 geometry (28x28 inputs, 10 classes). The
-// analytic backend caches the conductance matrix between programming
-// passes, so the steady-state Monte-Carlo read loop avoids the circuit
-// backend's per-read conductance rebuild.
+// readBatchRows is the batch size of the ReadBatch cases.
+const readBatchRows = 64
+
+// BenchmarkBackend measures the read path of both backends at the
+// paper-scale 784x10 geometry (28x28 inputs, 10 classes), programmed to
+// a uniform 100 kΩ target:
+//
+//   - read: the allocating Array.Read;
+//   - readinto: the steady-state Array.ReadInto into a reused buffer,
+//     conductance cache and solver workspace warmed, including a
+//     parasitic circuit read (RWire 2.5 Ω) on the warm-started solver
+//     and an analytic read with obs recording disabled, which isolates
+//     the instrumentation tax;
+//   - readcold: the same parasitic read solved cold, on a detached
+//     network snapshot per read (Crossbar.Network), the baseline the
+//     warm start is measured against;
+//   - readbatch64: one Array.ReadBatch of 64 rows, with the per-read
+//     cost reported as ns/read.
+//
+// The analytic backend caches the conductance matrix between
+// programming passes, so an ideal-wire read on either backend is one
+// matrix-vector product. TestSteadyStateReadAllocsZero gates the
+// zero-alloc steady state; these only time it.
 func BenchmarkBackend(b *testing.B) {
-	cfg := hw.Config{
-		Rows:  784,
-		Cols:  10,
-		Model: device.DefaultSwitchModel(),
-		Sigma: 0.5,
+	read := func(b *testing.B, arr hw.Array, vin []float64) {
+		for i := 0; i < b.N; i++ {
+			if _, err := arr.Read(vin); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
-	vin := make([]float64, cfg.Rows)
-	for i := range vin {
-		vin[i] = 0.5 + 0.5*float64(i%2)
+	readInto := func(b *testing.B, arr hw.Array, vin []float64) {
+		dst := make([]float64, arr.Cols())
+		if err := arr.ReadInto(dst, vin); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := arr.ReadInto(dst, vin); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	readBatch := func(b *testing.B, arr hw.Array, vin []float64) {
+		vins := make([][]float64, readBatchRows)
+		for k := range vins {
+			vins[k] = vin
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := arr.ReadBatch(vins); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*readBatchRows), "ns/read")
+	}
+	readCold := func(b *testing.B, arr hw.Array, vin []float64) {
+		xb, ok := arr.(*xbar.Crossbar)
+		if !ok {
+			b.Fatalf("circuit backend is %T, want *xbar.Crossbar", arr)
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := xb.Network().Read(vin); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	for _, tc := range []struct {
 		name    string
 		backend hw.Backend
+		rwire   float64
+		obsOff  bool
+		op      func(*testing.B, hw.Array, []float64)
 	}{
-		{"circuit", hw.Circuit},
-		{"analytic", hw.Analytic},
+		{"read/circuit", hw.Circuit, 0, false, read},
+		{"read/analytic", hw.Analytic, 0, false, read},
+		{"readinto/circuit", hw.Circuit, 0, false, readInto},
+		{"readinto/analytic", hw.Analytic, 0, false, readInto},
+		{"readinto/circuit-rwire2.5-warm", hw.Circuit, 2.5, false, readInto},
+		{"readinto/analytic-obsoff", hw.Analytic, 0, true, readInto},
+		{"readcold/circuit-rwire2.5", hw.Circuit, 2.5, false, readCold},
+		{fmt.Sprintf("readbatch%d/circuit", readBatchRows), hw.Circuit, 0, false, readBatch},
+		{fmt.Sprintf("readbatch%d/analytic", readBatchRows), hw.Analytic, 0, false, readBatch},
 	} {
-		b.Run(fmt.Sprintf("read/%s/784x10", tc.name), func(b *testing.B) {
+		b.Run(tc.name+"/784x10", func(b *testing.B) {
+			cfg := hw.Config{
+				Rows:  784,
+				Cols:  10,
+				Model: device.DefaultSwitchModel(),
+				Sigma: 0.5,
+				RWire: tc.rwire,
+			}
 			arr, err := hw.New(tc.backend, cfg, rng.New(42))
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := arr.Read(vin); err != nil {
-					b.Fatal(err)
-				}
+			targets := mat.NewMatrix(cfg.Rows, cfg.Cols)
+			targets.Fill(100e3)
+			if err := arr.ProgramTargets(targets, hw.ProgramOptions{}); err != nil {
+				b.Fatal(err)
 			}
+			vin := make([]float64, cfg.Rows)
+			for i := range vin {
+				vin[i] = 0.5 + 0.5*float64(i%2)
+			}
+			if tc.obsOff {
+				defer obs.SetEnabled(obs.SetEnabled(false))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			tc.op(b, arr, vin)
 		})
 	}
 }

@@ -13,7 +13,7 @@
 //
 // Instrumentation can be globally disabled with SetEnabled(false):
 // counters stop counting and spans stop reading the clock, which is how
-// the bench-json harness measures the overhead of the layer itself.
+// the hw read-path benchmark measures the overhead of the layer itself.
 package obs
 
 import (

@@ -23,10 +23,6 @@ type BootConfig struct {
 	Scale string
 	// Members is the number of arrays in the fleet. Default 3.
 	Members int
-	// Backend is the array simulation backend. Default hw.Analytic —
-	// the serving hot path wants the fast conductance-matrix backend;
-	// use hw.Circuit to serve through the full-physics reference.
-	Backend hw.Backend
 	// Sigma is the lognormal fabrication variation. Default 0.3.
 	Sigma float64
 	// Seed drives training and every member's fabrication draw; a
@@ -92,8 +88,8 @@ type Boot struct {
 
 // BuildFleet trains one weight matrix on the scale's synthetic digit
 // benchmark, fabricates Members identically-trained arrays (distinct
-// fabrication draws) on the configured backend, programs them, and
-// assembles the routing fleet. Deterministic in (Scale, Seed).
+// fabrication draws) on the circuit backend (the ncs default), programs
+// them, and assembles the routing fleet. Deterministic in (Scale, Seed).
 func BuildFleet(cfg BootConfig) (*Boot, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Members < 1 {
@@ -115,7 +111,6 @@ func BuildFleet(cfg BootConfig) (*Boot, error) {
 	specs := make([]fleet.MemberSpec, cfg.Members)
 	for i := range specs {
 		nc := ncs.DefaultConfig(trainSet.Features(), dataset.NumClasses)
-		nc.Backend = cfg.Backend
 		nc.Sigma = cfg.Sigma
 		sys, err := ncs.New(nc, rng.New(cfg.Seed+uint64(100+i)))
 		if err != nil {
