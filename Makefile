@@ -32,14 +32,18 @@ bench:
 doccheck:
 	$(GO) run ./cmd/doccheck $(shell find ./internal ./cmd -type d | sort)
 
-# Short fuzz sessions over the quantizer, the device dynamics and the
-# VXB1 binary frame decoders.
+# Short fuzz sessions over the quantizer, the device dynamics, the VXB1
+# binary frame decoders, the -chaos flag parser, the Prometheus
+# exposition validator and the checkpoint loader.
 fuzz:
 	$(GO) test ./internal/adc/ -fuzz FuzzQuantize -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzPulseForTarget -fuzztime 30s
 	$(GO) test ./internal/device/ -fuzz FuzzAdvance -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzReadRequestFrame -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzReadResponseFrame -fuzztime 30s
+	$(GO) test ./internal/chaos/ -fuzz FuzzParseMode -fuzztime 30s
+	$(GO) test ./internal/obs/ -fuzz FuzzValidatePrometheus -fuzztime 30s
+	$(GO) test ./internal/experiment/ -fuzz FuzzCheckpointLoad -fuzztime 30s
 
 # Regenerates every paper table/figure plus the extension studies at
 # Default scale.

@@ -24,12 +24,11 @@
 // Vectorized ensembles:
 //
 //	-vec P             trial-vectorized ensemble policy: auto (default)
-//	                   vectorizes eligible Monte-Carlo sweeps where the
-//	                   analytic backend already runs; force and scalar pin
-//	                   the analytic backend and run the vectorized /
-//	                   per-trial engine respectively (the two arms of the
-//	                   parity checks — their output is byte-identical);
-//	                   off disables the vectorized path entirely
+//	                   vectorizes every eligible Monte-Carlo sweep (ideal
+//	                   wires, no per-trial hardware mutation) at every
+//	                   scale; scalar runs every trial on the per-trial
+//	                   engine (the reference arm of the parity checks —
+//	                   the two outputs are byte-identical)
 //
 // Fleet scenarios (-exp fleetdrift):
 //
@@ -115,7 +114,7 @@ func run() int {
 		fleetAging   = flag.Float64("fleet-aging", 0, "fleetdrift: per-epoch stuck-conversion rate (0 = scale default, negative = no background aging)")
 		fleetSpares  = flag.Int("fleet-spares", 0, "fleetdrift: fleet members beyond the first (0 = scale default)")
 
-		vec           = flag.String("vec", "auto", "trial-vectorized ensemble policy: auto, force, scalar or off")
+		vec           = flag.String("vec", "auto", "trial-vectorized ensemble policy: auto or scalar")
 		checkpointDir = flag.String("checkpoint-dir", "", "persist completed trials here and resume an interrupted run of the same experiment/scale/seed")
 		partial       = flag.Bool("partial", false, "on timeout, interrupt or exhausted retries, print completed trials with NA cells instead of failing")
 		retries       = flag.Int("retries", 1, "total attempts per Monte-Carlo trial (1 = no retries)")

@@ -96,6 +96,11 @@ func openCheckpoint(dir, runner string, scale Scale, seed uint64) (*checkpointSt
 	if f.Sweeps == nil {
 		f.Sweeps = map[string]*checkpointSweep{}
 	}
+	for key, sw := range f.Sweeps {
+		if sw == nil { // "sN": null holds no trials
+			delete(f.Sweeps, key)
+		}
+	}
 	s.file = f
 	return s, nil
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"vortex/internal/dataset"
-	"vortex/internal/hw"
 	"vortex/internal/ncs"
 	"vortex/internal/opt"
 	"vortex/internal/rng"
@@ -108,23 +107,9 @@ func digitSets(p protocol, seed uint64) (trainSet, testSet *dataset.Set, err err
 	return trainSet, testSet, nil
 }
 
-// fastBackend selects the array backend for a sweep arm: the analytic
-// backend replays the circuit backend's fabrication and programming
-// draws bit-for-bit when there is no wire resistance, so Monte-Carlo
-// heavy Full-scale runs route through it for speed while Quick/Default
-// runs (and every IR-drop arm) stay on the reference circuit backend.
-func fastBackend(s Scale, rwire float64) hw.Backend {
-	if s == Full && rwire == 0 {
-		return hw.Analytic
-	}
-	return hw.Circuit
-}
-
-// buildNCS assembles an evaluation NCS with the paper's defaults on the
-// given array backend.
-func buildNCS(backend hw.Backend, inputs, redundancy int, sigma, rwire float64, adcBits int, seed uint64) (*ncs.NCS, error) {
+// buildNCS assembles an evaluation NCS with the paper's defaults.
+func buildNCS(inputs, redundancy int, sigma, rwire float64, adcBits int, seed uint64) (*ncs.NCS, error) {
 	cfg := ncs.DefaultConfig(inputs, dataset.NumClasses)
-	cfg.Backend = backend
 	cfg.Sigma = sigma
 	cfg.RWire = rwire
 	cfg.Redundancy = redundancy

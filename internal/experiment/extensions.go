@@ -84,7 +84,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			base := seed + uint64(1000*si+97*mc)
 			runSeed := rng.New(base + 11)
 
-			n1, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n1, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +97,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			}
 			old += r1
 
-			n2, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n2, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -110,7 +110,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			}
 			pv += r2
 
-			n3, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n3, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -123,7 +123,7 @@ func Schemes(ctx context.Context, scale Scale, seed uint64) (*SchemesResult, err
 			}
 			cld += r3
 
-			n4, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, base)
+			n4, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, base)
 			if err != nil {
 				return nil, err
 			}
@@ -222,7 +222,6 @@ func Defects(ctx context.Context, scale Scale, seed uint64) (*DefectsResult, err
 			base := seed + uint64(500*ri+31*mc)
 			for _, useAMP := range []bool{true, false} {
 				cfg := ncs.DefaultConfig(trainSet.Features(), 10)
-				cfg.Backend = fastBackend(scale, 0)
 				cfg.Sigma = sigma
 				cfg.DefectRate = defectRate
 				cfg.Redundancy = redundancy
@@ -328,7 +327,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil
 	}
 
-	n1, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n1, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +338,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil, err
 	}
 
-	n2, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n2, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +349,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil, err
 	}
 
-	n3, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n3, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +360,7 @@ func Cost(ctx context.Context, scale Scale, seed uint64) (*CostResult, error) {
 		return nil, err
 	}
 
-	n4, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), 0, sigma, 0, 6, seed)
+	n4, err := buildNCS(trainSet.Features(), 0, sigma, 0, 6, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +433,6 @@ func Mappers(ctx context.Context, scale Scale, seed uint64) (*MappersResult, err
 		return nil, err
 	}
 	cfg := ncs.DefaultConfig(trainSet.Features(), 10)
-	cfg.Backend = fastBackend(scale, 0)
 	cfg.Sigma = sigma
 	cfg.Redundancy = redundancy
 	n, err := ncs.New(cfg, rng.New(seed+5))

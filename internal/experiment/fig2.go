@@ -11,6 +11,7 @@ import (
 	"vortex/internal/mat"
 	"vortex/internal/rng"
 	"vortex/internal/stats"
+	"vortex/internal/xbar"
 )
 
 // Fig2Result holds the Monte-Carlo output-discrepancy series of paper
@@ -105,7 +106,7 @@ func Fig2(ctx context.Context, scale Scale, seed uint64) (*Fig2Result, error) {
 				Model: device.DefaultSwitchModel(),
 				Sigma: sigma,
 			}
-			xb, err := hw.New(fastBackend(scale, 0), cfg, src)
+			xb, err := xbar.New(cfg, src)
 			if err != nil {
 				return runErrs{}, err
 			}

@@ -182,7 +182,7 @@ func FleetDrift(ctx context.Context, scale Scale, seed uint64) (*FleetDriftResul
 	// must not hold a repaired array to a bar it never met when healthy.
 	probeBase := 1.0
 	for i := range specs {
-		n, err := buildNCS(hw.Circuit, trainSet.Features(), redundancy, sigma, 0, 6, seed+uint64(100+i))
+		n, err := buildNCS(trainSet.Features(), redundancy, sigma, 0, 6, seed+uint64(100+i))
 		if err != nil {
 			return nil, err
 		}

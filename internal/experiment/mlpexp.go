@@ -105,7 +105,7 @@ func MLP(ctx context.Context, scale Scale, seed uint64) (*MLPResult, error) {
 			return nil, err
 		}
 		lin, err := parallelMean(ctx, p.mcRuns, func(mc int) (float64, error) {
-			n, err := buildNCS(fastBackend(scale, 0), trainSet.Features(), trainSet.Features()/8, sigma, 0, 6,
+			n, err := buildNCS(trainSet.Features(), trainSet.Features()/8, sigma, 0, 6,
 				seed+uint64(100*si+mc))
 			if err != nil {
 				return 0, err

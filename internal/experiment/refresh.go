@@ -76,8 +76,7 @@ func Refresh(ctx context.Context, scale Scale, seed uint64) (*RefreshResult, err
 	res := &RefreshResult{Times: times, Sigma: sigma, Drift: drift}
 
 	build := func() (*ncs.NCS, *core.VortexResult, error) {
-		// Retention drift needs the circuit backend (hw.Ager).
-		n, err := buildNCS(hw.Circuit, trainSet.Features(), trainSet.Features()/8, sigma, 0, 6, seed+10)
+		n, err := buildNCS(trainSet.Features(), trainSet.Features()/8, sigma, 0, 6, seed+10)
 		if err != nil {
 			return nil, nil, err
 		}

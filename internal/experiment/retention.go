@@ -7,7 +7,6 @@ import (
 
 	"vortex/internal/core"
 	"vortex/internal/device"
-	"vortex/internal/hw"
 	"vortex/internal/rng"
 )
 
@@ -86,8 +85,7 @@ func Retention(ctx context.Context, scale Scale, seed uint64) (*RetentionResult,
 		}
 		base := seed + uint64(701*mc)
 		run := func(trainSigma float64, out []float64) error {
-			// Retention drift needs the circuit backend (hw.Ager).
-			n, err := buildNCS(hw.Circuit, trainSet.Features(), trainSet.Features()/8, sigma, 0, 6, base)
+			n, err := buildNCS(trainSet.Features(), trainSet.Features()/8, sigma, 0, 6, base)
 			if err != nil {
 				return err
 			}

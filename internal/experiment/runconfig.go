@@ -29,8 +29,8 @@ type RunConfig struct {
 	Partial bool
 	// Retry is the per-trial retry policy.
 	Retry RetryPolicy
-	// Vectorize selects how ensemble sweeps use the trial-vectorized
-	// analytic fast path (see VecPolicy); the zero value is VecAuto.
+	// Vectorize selects whether ensemble sweeps may use the
+	// trial-vectorized path (see VecPolicy); the zero value is VecAuto.
 	Vectorize VecPolicy
 }
 

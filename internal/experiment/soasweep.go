@@ -122,8 +122,8 @@ func classTemplateWeights(set *dataset.Set) *mat.Matrix {
 // programs the same deterministic class-template weights into each, and
 // reports every system's test rate. The sweep is the repository's
 // benchmark workload for the structure-of-arrays fast path: it is
-// eligible for vectorization at every scale (analytic model, ideal
-// wires, no per-trial hardware mutation) and its output is bit-identical
+// eligible for vectorization at every scale (ideal wires, no per-trial
+// hardware mutation) and its output is bit-identical
 // between the vectorized and per-trial engines.
 func SoaSweep(ctx context.Context, scale Scale, seed uint64) (*SoaResult, error) {
 	start := time.Now()
@@ -142,7 +142,7 @@ func SoaSweep(ctx context.Context, scale Scale, seed uint64) (*SoaResult, error)
 	setup := time.Since(start)
 	sweepStart := time.Now()
 	rates, completed, err := ensembleRates(ctx, ensembleSpec{
-		scale: scale, inputs: trainSet.Features(), sigma: sigma,
+		inputs: trainSet.Features(), sigma: sigma,
 		adcBits: 6, weights: w, set: testSet, seeds: seeds,
 	})
 	if err != nil {

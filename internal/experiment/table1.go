@@ -124,7 +124,7 @@ func Table1(ctx context.Context, scale Scale, seed uint64) (*Table1Result, error
 		}
 
 		// CLD with IR-drop.
-		nCLD, err := buildNCS(fastBackend(scale, rwire), inputs, 0, sigma, rwire, 6, seed+uint64(2*factor))
+		nCLD, err := buildNCS(inputs, 0, sigma, rwire, 6, seed+uint64(2*factor))
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func Table1(ctx context.Context, scale Scale, seed uint64) (*Table1Result, error
 		res.CLDIRTrain = append(res.CLDIRTrain, cldRes.TrainRate)
 
 		// Vortex with IR-drop.
-		nV, err := buildNCS(fastBackend(scale, rwire), inputs, red, sigma, rwire, 6, seed+uint64(2*factor))
+		nV, err := buildNCS(inputs, red, sigma, rwire, 6, seed+uint64(2*factor))
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +160,7 @@ func Table1(ctx context.Context, scale Scale, seed uint64) (*Table1Result, error
 		res.VortexIRTrain = append(res.VortexIRTrain, vRes.TrainRate)
 
 		// CLD without IR-drop.
-		nRef, err := buildNCS(fastBackend(scale, 0), inputs, 0, sigma, 0, 6, seed+uint64(2*factor))
+		nRef, err := buildNCS(inputs, 0, sigma, 0, 6, seed+uint64(2*factor))
 		if err != nil {
 			return nil, err
 		}

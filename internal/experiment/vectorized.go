@@ -13,34 +13,22 @@ import (
 	"vortex/internal/rng"
 )
 
-// VecPolicy selects how Monte-Carlo ensemble sweeps use the trial-
-// vectorized (structure-of-arrays) analytic fast path. It rides the
-// RunConfig into every registered runner; cmd/vortexsim sets it from the
-// -vec flag. All policies produce bit-identical sweep output whenever
-// they run the same backend — the vectorized path is an execution
-// strategy, never a model change — so the policy only moves wall-clock
-// and, for VecForce/VecScalar, pins the backend choice that VecAuto
-// makes per scale.
+// VecPolicy selects whether Monte-Carlo ensemble sweeps may use the
+// trial-vectorized (structure-of-arrays) path. It rides the RunConfig
+// into every registered runner; cmd/vortexsim sets it from the -vec
+// flag. Both policies produce bit-identical sweep output — the
+// vectorized path is an execution strategy, never a model change — so
+// the policy only moves wall-clock.
 type VecPolicy int
 
 const (
-	// VecAuto (the default) vectorizes eligible ensemble sweeps exactly
-	// where the scalar path would already run the analytic backend — Full
-	// scale with ideal wires — and changes nothing else.
+	// VecAuto (the default) vectorizes every eligible ensemble sweep at
+	// every scale (see vecEligible).
 	VecAuto VecPolicy = iota
-	// VecForce routes every eligible ensemble sweep through the analytic
-	// backend and its vectorized path regardless of scale. Exact for
-	// ideal-wire sweeps (the analytic backend is bit-equivalent there);
-	// ineligible sweeps still fall back per-trial with a debug log.
-	VecForce
-	// VecScalar pins the same backend choice as VecForce but evaluates
-	// per-trial on the scalar engine — the reference arm of the
-	// vectorized-vs-scalar parity checks (CI diffs its output against
-	// VecForce byte for byte).
+	// VecScalar evaluates every trial on the per-trial engine — the
+	// reference arm of the vectorized-vs-scalar parity checks (CI diffs
+	// its output against VecAuto's byte for byte).
 	VecScalar
-	// VecOff disables the vectorized path entirely and leaves backend
-	// selection to the classic per-scale routing.
-	VecOff
 )
 
 // String implements fmt.Stringer.
@@ -48,12 +36,8 @@ func (p VecPolicy) String() string {
 	switch p {
 	case VecAuto:
 		return "auto"
-	case VecForce:
-		return "force"
 	case VecScalar:
 		return "scalar"
-	case VecOff:
-		return "off"
 	default:
 		return "unknown"
 	}
@@ -64,14 +48,10 @@ func ParseVecPolicy(s string) (VecPolicy, error) {
 	switch s {
 	case "auto", "":
 		return VecAuto, nil
-	case "force":
-		return VecForce, nil
 	case "scalar":
 		return VecScalar, nil
-	case "off":
-		return VecOff, nil
 	default:
-		return 0, fmt.Errorf("unknown vectorize policy %q (want auto, force, scalar or off)", s)
+		return 0, fmt.Errorf("unknown vectorize policy %q (want auto or scalar)", s)
 	}
 }
 
@@ -92,7 +72,6 @@ func vecPolicyFrom(ctx context.Context) VecPolicy {
 // remapping, fault injection, drift — do not fit this shape and stay on
 // the per-trial engine.
 type ensembleSpec struct {
-	scale      Scale
 	inputs     int
 	redundancy int
 	sigma      float64
@@ -107,34 +86,24 @@ type ensembleSpec struct {
 	// defect conversion, drift). Such sweeps are never routed to the
 	// vectorized path — the trial batch shares its programming state
 	// across trials, so a silent routing would evaluate un-mutated
-	// hardware. The eligibility check refuses them under every policy,
-	// including VecForce, with a debug log.
+	// hardware.
 	mutatesHardware bool
 }
 
-// ensembleBackend picks the array backend for an ensemble sweep under a
-// policy: VecForce and VecScalar pin the analytic backend for ideal-wire
-// sweeps (so the two arms of a parity diff run identical physics), every
-// other policy keeps the classic per-scale routing.
-func ensembleBackend(spec ensembleSpec, pol VecPolicy) hw.Backend {
-	if (pol == VecForce || pol == VecScalar) && spec.rwire == 0 {
-		return hw.Analytic
-	}
-	return fastBackend(spec.scale, spec.rwire)
-}
-
 // vecEligible reports whether an ensemble sweep may run the vectorized
-// path under the policy, with the reason when it may not.
-func vecEligible(spec ensembleSpec, pol VecPolicy, backend hw.Backend) (bool, string) {
+// path under the policy, with the reason when it may not. Eligibility is
+// the physics the trial batch represents exactly (hw.NewTrialBatch):
+// ideal wires and shared programming state. ensembleNCSConfig never
+// asks for disturb or cycle-to-cycle noise, so rwire and
+// mutatesHardware are the conditions left to check.
+func vecEligible(spec ensembleSpec, pol VecPolicy) (bool, string) {
 	switch {
-	case pol == VecOff || pol == VecScalar:
+	case pol == VecScalar:
 		return false, "policy " + pol.String()
 	case spec.mutatesHardware:
 		return false, "per-trial hardware mutation"
 	case spec.rwire != 0:
 		return false, "wire parasitics"
-	case backend != hw.Analytic:
-		return false, "non-analytic backend"
 	default:
 		return true, ""
 	}
@@ -143,9 +112,8 @@ func vecEligible(spec ensembleSpec, pol VecPolicy, backend hw.Backend) (bool, st
 // ensembleNCSConfig builds the ncs configuration of one ensemble trial —
 // buildNCS's exact configuration, shared by the scalar and vectorized
 // arms.
-func ensembleNCSConfig(spec ensembleSpec, backend hw.Backend) ncs.Config {
+func ensembleNCSConfig(spec ensembleSpec) ncs.Config {
 	cfg := ncs.DefaultConfig(spec.inputs, dataset.NumClasses)
-	cfg.Backend = backend
 	cfg.Sigma = spec.sigma
 	cfg.RWire = spec.rwire
 	cfg.Redundancy = spec.redundancy
@@ -161,9 +129,9 @@ func ensembleNCSConfig(spec ensembleSpec, backend hw.Backend) ncs.Config {
 // isolation and partial degradation behave as in every other sweep.
 func ensembleRates(ctx context.Context, spec ensembleSpec) ([]float64, []bool, error) {
 	pol := vecPolicyFrom(ctx)
-	backend := ensembleBackend(spec, pol)
+	cfg := ensembleNCSConfig(spec)
 	scalar := func(t Trial) (float64, error) {
-		n, err := ncs.New(ensembleNCSConfig(spec, backend), rng.New(spec.seeds[t.Index]))
+		n, err := ncs.New(cfg, rng.New(spec.seeds[t.Index]))
 		if err != nil {
 			return 0, err
 		}
@@ -173,8 +141,7 @@ func ensembleRates(ctx context.Context, spec ensembleSpec) ([]float64, []bool, e
 		return n.Evaluate(spec.set)
 	}
 	var batch func(ctx context.Context, idxs []int) ([]float64, error)
-	if ok, reason := vecEligible(spec, pol, backend); ok {
-		cfg := ensembleNCSConfig(spec, backend)
+	if ok, reason := vecEligible(spec, pol); ok {
 		batch = func(bctx context.Context, idxs []int) ([]float64, error) {
 			seeds := make([]uint64, len(idxs))
 			for k, i := range idxs {
@@ -198,7 +165,7 @@ func ensembleRates(ctx context.Context, spec ensembleSpec) ([]float64, []bool, e
 			esp.End()
 			return rates, err
 		}
-	} else if pol == VecAuto || pol == VecForce {
+	} else if pol == VecAuto {
 		obs.L().Debug("ensemble sweep not vectorized", "reason", reason,
 			"policy", pol.String(), "trials", len(spec.seeds))
 	}

@@ -12,7 +12,6 @@ import (
 
 	"vortex/internal/core"
 	"vortex/internal/dataset"
-	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/obs"
 	"vortex/internal/rng"
@@ -31,7 +30,7 @@ func vecCtx(pol VecPolicy) context.Context {
 func ensembleFixture(t *testing.T, w *mat.Matrix, trainSet, testSet *dataset.Set) ensembleSpec {
 	t.Helper()
 	return ensembleSpec{
-		scale: Quick, inputs: trainSet.Features(), sigma: 0.6, adcBits: 6,
+		inputs: trainSet.Features(), sigma: 0.6, adcBits: 6,
 		weights: w, set: testSet,
 		seeds: []uint64{811, 911, 1011, 1111},
 	}
@@ -47,7 +46,7 @@ func schemeWeights(t *testing.T, trainSet *dataset.Set) map[string]*mat.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cldNCS, err := buildNCS(hw.Circuit, trainSet.Features(), 0, 0.3, 0, 6, 33)
+	cldNCS, err := buildNCS(trainSet.Features(), 0, 0.3, 0, 6, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func schemeWeights(t *testing.T, trainSet *dataset.Set) map[string]*mat.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vxNCS, err := buildNCS(hw.Circuit, trainSet.Features(), 4, 0.3, 0, 6, 37)
+	vxNCS, err := buildNCS(trainSet.Features(), 4, 0.3, 0, 6, 37)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +70,8 @@ func schemeWeights(t *testing.T, trainSet *dataset.Set) map[string]*mat.Matrix {
 // TestEnsembleRatesSchemeParity is the PR's core parity suite: for
 // weights produced by each of the three training schemes, an ensemble
 // sweep over four fabrication seeds must return bit-identical per-trial
-// test rates whether it runs the trial-vectorized fast path (VecForce)
-// or the per-trial scalar engine on the same pinned backend (VecScalar).
+// test rates whether it runs the trial-vectorized fast path (VecAuto)
+// or the per-trial scalar engine (VecScalar).
 func TestEnsembleRatesSchemeParity(t *testing.T) {
 	p := protoFor(Quick)
 	trainSet, testSet, err := digitSets(p, 5)
@@ -83,12 +82,12 @@ func TestEnsembleRatesSchemeParity(t *testing.T) {
 	for name, w := range schemeWeights(t, trainSet) {
 		spec := ensembleFixture(t, w, trainSet, testSet)
 		before := vecTrials.Value()
-		fast, fdone, err := ensembleRates(vecCtx(VecForce), spec)
+		fast, fdone, err := ensembleRates(vecCtx(VecAuto), spec)
 		if err != nil {
-			t.Fatalf("%s: force: %v", name, err)
+			t.Fatalf("%s: auto: %v", name, err)
 		}
 		if got := vecTrials.Value() - before; got != int64(len(spec.seeds)) {
-			t.Fatalf("%s: vectorized %d of %d trials under VecForce", name, got, len(spec.seeds))
+			t.Fatalf("%s: vectorized %d of %d trials under VecAuto", name, got, len(spec.seeds))
 		}
 		slow, sdone, err := ensembleRates(vecCtx(VecScalar), spec)
 		if err != nil {
@@ -96,7 +95,7 @@ func TestEnsembleRatesSchemeParity(t *testing.T) {
 		}
 		for i := range spec.seeds {
 			if !fdone[i] || !sdone[i] {
-				t.Fatalf("%s: trial %d incomplete (force=%v scalar=%v)", name, i, fdone[i], sdone[i])
+				t.Fatalf("%s: trial %d incomplete (auto=%v scalar=%v)", name, i, fdone[i], sdone[i])
 			}
 			if math.Float64bits(fast[i]) != math.Float64bits(slow[i]) {
 				t.Errorf("%s: trial %d: vectorized rate %v, scalar %v", name, i, fast[i], slow[i])
@@ -105,55 +104,26 @@ func TestEnsembleRatesSchemeParity(t *testing.T) {
 	}
 }
 
-// TestEnsembleBackendPinning checks VecForce and VecScalar pin the same
-// analytic backend for ideal-wire sweeps — so a parity diff compares
-// identical physics — while wire-parasitic sweeps and the other policies
-// keep the classic per-scale routing.
-func TestEnsembleBackendPinning(t *testing.T) {
-	ideal := ensembleSpec{scale: Quick}
-	wired := ensembleSpec{scale: Quick, rwire: 2.5}
+// TestVecEligibility checks eligibility is a physics predicate: an
+// ideal-wire sweep vectorizes under the default policy at any scale,
+// while wire parasitics, per-trial hardware mutation and the scalar
+// policy keep it on the per-trial engine.
+func TestVecEligibility(t *testing.T) {
+	ideal := ensembleSpec{}
 	cases := []struct {
 		name string
 		spec ensembleSpec
 		pol  VecPolicy
-		want hw.Backend
+		want bool
 	}{
-		{"force-ideal", ideal, VecForce, hw.Analytic},
-		{"scalar-ideal", ideal, VecScalar, hw.Analytic},
-		{"auto-quick", ideal, VecAuto, hw.Circuit},
-		{"off-quick", ideal, VecOff, hw.Circuit},
-		{"force-wired", wired, VecForce, hw.Circuit},
-		{"auto-full", ensembleSpec{scale: Full}, VecAuto, hw.Analytic},
+		{"auto-ideal", ideal, VecAuto, true},
+		{"scalar-ideal", ideal, VecScalar, false},
+		{"auto-wired", ensembleSpec{rwire: 2.5}, VecAuto, false},
+		{"scalar-wired", ensembleSpec{rwire: 2.5}, VecScalar, false},
+		{"mutates-hardware", ensembleSpec{mutatesHardware: true}, VecAuto, false},
 	}
 	for _, tc := range cases {
-		if got := ensembleBackend(tc.spec, tc.pol); got != tc.want {
-			t.Errorf("%s: backend %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestVecEligibility checks the guard conditions: defect/fault-mutating
-// sweeps, wire parasitics, non-analytic backends and the non-vectorizing
-// policies never take the batch path — even under VecForce.
-func TestVecEligibility(t *testing.T) {
-	ideal := ensembleSpec{scale: Full}
-	cases := []struct {
-		name    string
-		spec    ensembleSpec
-		pol     VecPolicy
-		backend hw.Backend
-		want    bool
-	}{
-		{"eligible", ideal, VecAuto, hw.Analytic, true},
-		{"eligible-force", ideal, VecForce, hw.Analytic, true},
-		{"policy-off", ideal, VecOff, hw.Analytic, false},
-		{"policy-scalar", ideal, VecScalar, hw.Analytic, false},
-		{"mutates-hardware", ensembleSpec{scale: Full, mutatesHardware: true}, VecForce, hw.Analytic, false},
-		{"wire-parasitics", ensembleSpec{scale: Full, rwire: 2.5}, VecForce, hw.Circuit, false},
-		{"circuit-backend", ideal, VecAuto, hw.Circuit, false},
-	}
-	for _, tc := range cases {
-		ok, reason := vecEligible(tc.spec, tc.pol, tc.backend)
+		ok, reason := vecEligible(tc.spec, tc.pol)
 		if ok != tc.want {
 			t.Errorf("%s: eligible=%v (reason %q), want %v", tc.name, ok, reason, tc.want)
 		}
@@ -163,9 +133,40 @@ func TestVecEligibility(t *testing.T) {
 	}
 }
 
+// TestSoaSweepQuickVectorizes runs the soasweep driver at Quick scale and
+// counts the trials that took the vectorized path: all 16 under the
+// default policy, with no fallback, and none under VecScalar.
+func TestSoaSweepQuickVectorizes(t *testing.T) {
+	r, ok := Lookup("soasweep")
+	if !ok {
+		t.Fatal("soasweep runner not registered")
+	}
+	vecTrials := obs.Default().Counter("experiment.vec.trials")
+	fallbacks := obs.Default().Counter("experiment.vec.fallbacks")
+	for _, tc := range []struct {
+		pol  VecPolicy
+		want int64
+	}{
+		{VecAuto, int64(soaTrials(Quick))},
+		{VecScalar, 0},
+	} {
+		trials0, fallbacks0 := vecTrials.Value(), fallbacks.Value()
+		ctx := WithRunConfig(context.Background(), RunConfig{Vectorize: tc.pol})
+		if _, err := r.Run(ctx, Quick, 42); err != nil {
+			t.Fatalf("%v: %v", tc.pol, err)
+		}
+		if got := vecTrials.Value() - trials0; got != tc.want {
+			t.Errorf("%v: experiment.vec.trials rose by %d, want %d", tc.pol, got, tc.want)
+		}
+		if got := fallbacks.Value() - fallbacks0; got != 0 {
+			t.Errorf("%v: experiment.vec.fallbacks rose by %d, want 0", tc.pol, got)
+		}
+	}
+}
+
 // TestMutatingSweepNeverVectorized is the eligibility guard end to end:
 // a sweep marked as mutating hardware per trial runs the scalar engine
-// even under VecForce, and its results match a VecOff run exactly.
+// even under VecAuto, and its results match a VecScalar run exactly.
 func TestMutatingSweepNeverVectorized(t *testing.T) {
 	p := protoFor(Quick)
 	trainSet, testSet, err := digitSets(p, 5)
@@ -180,23 +181,23 @@ func TestMutatingSweepNeverVectorized(t *testing.T) {
 	spec.mutatesHardware = true
 	vecTrials := obs.Default().Counter("experiment.vec.trials")
 	before := vecTrials.Value()
-	forced, fdone, err := ensembleRates(vecCtx(VecForce), spec)
+	auto, adone, err := ensembleRates(vecCtx(VecAuto), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := vecTrials.Value() - before; got != 0 {
-		t.Fatalf("mutating sweep vectorized %d trials under VecForce, want 0", got)
+		t.Fatalf("mutating sweep vectorized %d trials under VecAuto, want 0", got)
 	}
-	off, odone, err := ensembleRates(vecCtx(VecOff), spec)
+	scalar, sdone, err := ensembleRates(vecCtx(VecScalar), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range spec.seeds {
-		if !fdone[i] || !odone[i] {
+		if !adone[i] || !sdone[i] {
 			t.Fatalf("trial %d incomplete", i)
 		}
-		if math.Float64bits(forced[i]) != math.Float64bits(off[i]) {
-			t.Errorf("trial %d: forced %v, off %v", i, forced[i], off[i])
+		if math.Float64bits(auto[i]) != math.Float64bits(scalar[i]) {
+			t.Errorf("trial %d: auto %v, scalar %v", i, auto[i], scalar[i])
 		}
 	}
 }
@@ -515,7 +516,7 @@ func TestBatchStageCheckpointResume(t *testing.T) {
 }
 
 // TestSoaSweepPolicyParity runs the soasweep driver end to end under
-// VecForce and VecScalar and requires byte-identical CSV — the in-process
+// VecAuto and VecScalar and requires byte-identical CSV — the in-process
 // version of the CI parity smoke. Default scale runs 64 trials, two
 // chunks, so the vectorized arm evaluates chunks concurrently.
 func TestSoaSweepPolicyParity(t *testing.T) {
@@ -531,9 +532,9 @@ func TestSoaSweepPolicyParity(t *testing.T) {
 		}
 		return res.CSV()
 	}
-	force, scalar := run(VecForce), run(VecScalar)
-	if force != scalar {
-		t.Errorf("soasweep CSV differs between VecForce and VecScalar:\n--- force ---\n%s--- scalar ---\n%s", force, scalar)
+	auto, scalar := run(VecAuto), run(VecScalar)
+	if auto != scalar {
+		t.Errorf("soasweep CSV differs between VecAuto and VecScalar:\n--- auto ---\n%s--- scalar ---\n%s", auto, scalar)
 	}
 }
 
@@ -542,7 +543,7 @@ func TestParseVecPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want VecPolicy
-	}{{"", VecAuto}, {"auto", VecAuto}, {"force", VecForce}, {"scalar", VecScalar}, {"off", VecOff}} {
+	}{{"", VecAuto}, {"auto", VecAuto}, {"scalar", VecScalar}} {
 		got, err := ParseVecPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseVecPolicy(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
@@ -551,7 +552,9 @@ func TestParseVecPolicy(t *testing.T) {
 			t.Errorf("VecPolicy(%v).String() = %q, want %q", got, got.String(), tc.in)
 		}
 	}
-	if _, err := ParseVecPolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
+	for _, bad := range []string{"bogus", "force", "off"} {
+		if _, err := ParseVecPolicy(bad); err == nil {
+			t.Errorf("policy %q accepted", bad)
+		}
 	}
 }

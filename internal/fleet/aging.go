@@ -20,7 +20,7 @@ import (
 // conversions, line opens, endurance wear).
 type AgingConfig struct {
 	// Drift, when non-nil, initializes retention drift on every member
-	// (requires a backend with the hw.Ager capability, i.e. circuit).
+	// (through the arrays' hw.Ager capability).
 	Drift *device.DriftModel
 	// TimeStep is the simulated seconds each Step advances the arrays'
 	// device clocks. Default 1.
@@ -30,7 +30,7 @@ type AgingConfig struct {
 	TimeGrowth float64
 	// Shock is the fault mix injected on every step: StuckRate and
 	// LineOpenRate are per-step probabilities, Endurance enables
-	// write-cycle wear (circuit backend only).
+	// write-cycle wear.
 	Shock fault.Config
 	// Seed drives the per-member injector streams; each member ages on
 	// its own deterministic stream.

@@ -223,14 +223,6 @@ func TestAgingStepInjectsDeterministically(t *testing.T) {
 	}
 }
 
-func TestAgingDriftRequiresCircuitBackend(t *testing.T) {
-	f, _, _ := testFleet(t, 1, Config{}) // analytic members
-	drift := device.DefaultDriftModel()
-	if _, err := NewAging(f, AgingConfig{Drift: &drift}); err == nil {
-		t.Fatal("drift on the analytic backend accepted")
-	}
-}
-
 func TestAgingBurstTargetsOneMember(t *testing.T) {
 	f, _, _ := testFleet(t, 2, Config{})
 	rep, err := a2Burst(f)
@@ -267,7 +259,7 @@ func TestAgingDriftOnCircuitFleet(t *testing.T) {
 	set := testSet(t, 6, 21)
 	w := testWeights(t, set)
 	cfg := ncs.DefaultConfig(tFeatures, tClasses)
-	cfg.ADCBits = 0 // circuit backend (default), ideal sensing
+	cfg.ADCBits = 0 // ideal sensing
 	cfg.Redundancy = 2
 	specs := make([]MemberSpec, 2)
 	for i := range specs {

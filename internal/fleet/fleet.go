@@ -93,8 +93,8 @@ type Member struct {
 	served atomic.Int64 // requests answered by this member
 	errs   atomic.Int64 // requests that errored on this member
 
-	// Per-array obs series, namespaced hw.<backend>.<id>.* so members
-	// do not collide with each other or the per-backend aggregates.
+	// Per-array obs series, namespaced hw.circuit.<id>.* so members
+	// do not collide with each other or the per-kind aggregates.
 	gState, gHealth  *obs.Gauge
 	cServed, cErrors *obs.Counter
 }
@@ -190,8 +190,7 @@ func New(cfg Config, specs []MemberSpec) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: missing or duplicate member id %q", sp.ID)
 		}
 		seen[sp.ID] = true
-		backend := sp.Sys.Config().Backend.String()
-		prefix := hw.ArrayPrefix(backend, sp.ID)
+		prefix := hw.ArrayPrefix(hw.CircuitKind, sp.ID)
 		m := &Member{
 			id:      sp.ID,
 			sys:     sp.Sys,

@@ -44,11 +44,10 @@ func testWeights(t *testing.T, set *dataset.Set) *mat.Matrix {
 	return w
 }
 
-// newSys fabricates a fast analytic-backend NCS with ideal sensing.
+// newSys fabricates an NCS with ideal sensing.
 func newSys(t *testing.T, sigma float64, redundancy int, seed uint64) *ncs.NCS {
 	t.Helper()
 	cfg := ncs.DefaultConfig(tFeatures, tClasses)
-	cfg.Backend = hw.Analytic
 	cfg.ADCBits = 0
 	cfg.Sigma = sigma
 	cfg.Redundancy = redundancy
@@ -148,7 +147,6 @@ func TestFailoverOnReadError(t *testing.T) {
 	set := testSet(t, 12, 11)
 	w := testWeights(t, set)
 	badCfg := ncs.DefaultConfig(tFeatures+1, tClasses)
-	badCfg.Backend = hw.Analytic
 	badCfg.ADCBits = 0
 	bad, err := ncs.New(badCfg, rng.New(3))
 	if err != nil {

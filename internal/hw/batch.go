@@ -12,27 +12,31 @@ import (
 	"vortex/internal/rng"
 )
 
-// TrialBatch is the structure-of-arrays counterpart of AnalyticArray for
-// Monte-Carlo ensembles: one batch holds the per-cell variation state of
-// many analytically simulated arrays that share a geometry, a switching
-// model and — crucially — a programming history, differing only in their
+// TrialBatch is the structure-of-arrays kernel for Monte-Carlo
+// ensembles: one batch holds the per-cell variation state of many
+// ideal-wire arrays that share a geometry, a switching model and —
+// crucially — a programming history, differing only in their
 // fabrication draws (theta, defects). Trials are stored in lane groups
 // of mat.TrialLanes so the fused mat kernels stream one conductance
 // tensor per group instead of walking thousands of small per-trial
 // matrices.
 //
 // Equivalence contract: lane t of a TrialBatch fabricated from sources
-// srcs[t] is bit-identical to an AnalyticArray fabricated from the same
-// source and driven through the same ProgramTargets/ResetAll calls. The
-// batch replays NewAnalytic's exact fabrication draw order per trial
-// (theta, then the defect Bernoullis, cell by cell) and hoists the
-// programming pass across trials, which is exact because every trial
-// shares the driven state: all cells start at XMax, open-loop pulse
-// pre-calculation depends only on the driven state and the shared
-// target, and with SigmaCycle == 0 no per-pulse noise is drawn. That is
-// why NewTrialBatch rejects SigmaCycle != 0 — per-trial cycle noise
-// would fork the driven state and the whole hoist — in addition to the
-// analytic backend's own RWire/Disturb restrictions.
+// srcs[t] is bit-identical to a circuit array (xbar.New) fabricated from
+// the same source and driven through the same ProgramTargets/ResetAll
+// calls. The batch replays the circuit backend's fabrication draw order
+// per trial (theta, then the defect Bernoullis, cell by cell) and hoists
+// the programming pass across trials. That is exact under three
+// conditions, which NewTrialBatch enforces:
+//
+//   - RWire = 0: the read is the ideal-wire product y = x·W, and every
+//     pulse is delivered at its nominal voltage;
+//   - no half-select disturb: a pulse moves only its own cell;
+//   - SigmaCycle = 0: no per-pulse noise is drawn, so every trial
+//     shares the driven state — all cells start at XMax and open-loop
+//     pulse pre-calculation depends only on the driven state and the
+//     shared target. Per-trial cycle noise would fork the driven state
+//     and the whole hoist.
 //
 // Defective cells do not break the shared driven state: pulses never
 // advance them and their observable conductance ignores the driven
@@ -70,12 +74,12 @@ type laneGroup struct {
 	g  atomic.Pointer[mat.Tensor3] // nil = dirty
 }
 
-// NewTrialBatch fabricates len(srcs) analytic arrays as one
+// NewTrialBatch fabricates len(srcs) ideal-wire arrays as one
 // structure-of-arrays batch, drawing trial t's fabrication variation
-// from srcs[t] exactly as NewAnalytic would. The configuration must be
-// analytic-representable (RWire = 0, no disturb) and must not ask for
-// cycle-to-cycle programming noise (SigmaCycle = 0), since the batch
-// hoists programming across trials.
+// from srcs[t] exactly as xbar.New would. The configuration must have
+// ideal wires (RWire = 0), no disturb and no cycle-to-cycle programming
+// noise (SigmaCycle = 0), since the batch hoists programming across
+// trials.
 func NewTrialBatch(cfg Config, srcs []*rng.Source) (*TrialBatch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -97,7 +101,7 @@ func NewTrialBatch(cfg Config, srcs []*rng.Source) (*TrialBatch, error) {
 		cfg:    cfg,
 		trials: len(srcs),
 		x:      make([]float64, cells),
-		met:    MetricsFor(Analytic.String()),
+		met:    MetricsFor("trialbatch"),
 	}
 	xmax := cfg.Model.XMax()
 	for i := range b.x {
@@ -118,7 +122,7 @@ func NewTrialBatch(cfg Config, srcs []*rng.Source) (*TrialBatch, error) {
 		}
 		grp, lane := b.groups[t/mat.TrialLanes], t%mat.TrialLanes
 		grp.n++
-		// NewAnalytic's fabrication draw order, cell by cell: theta (when
+		// xbar.New's fabrication draw order, cell by cell: theta (when
 		// Sigma > 0), the driven state (shared XMax), then the defect
 		// Bernoullis.
 		for idx := 0; idx < cells; idx++ {
@@ -165,8 +169,8 @@ func (b *TrialBatch) dirty() {
 }
 
 // Tensor returns (building if stale) group g's conductance tensor:
-// lanes hold trials, cells hold the same observable conductances the
-// per-trial backend computes. The returned tensor is shared — callers
+// lanes hold trials, cells hold the same observable conductances a
+// per-trial circuit array computes. The returned tensor is shared — callers
 // must not mutate it. Safe for concurrent callers.
 func (b *TrialBatch) Tensor(g int) *mat.Tensor3 {
 	grp := b.groups[g]
@@ -185,8 +189,7 @@ func (b *TrialBatch) Tensor(g int) *mat.Tensor3 {
 		base := idx * mat.TrialLanes
 		for lane := 0; lane < grp.n; lane++ {
 			li := base + lane
-			// device.Memristor.Conductance's exact floating-point paths,
-			// as in AnalyticArray.conductance.
+			// device.Memristor.Conductance's exact floating-point paths.
 			var gv float64
 			switch grp.defect[li] {
 			case device.DefectStuckLRS:
@@ -209,7 +212,7 @@ func (b *TrialBatch) Tensor(g int) *mat.Tensor3 {
 // ReadLanesInto computes, for every trial lane of group g at once, the
 // column currents for row voltages v: dst[j*mat.TrialLanes+t] is trial
 // lane t's current on column j, bit-identical to that trial's
-// AnalyticArray.ReadInto. dst has length Cols*mat.TrialLanes; lanes
+// circuit-array ReadInto. dst has length Cols*mat.TrialLanes; lanes
 // beyond GroupLanes(g) read zero. Safe for concurrent callers.
 func (b *TrialBatch) ReadLanesInto(g int, dst, v []float64) error {
 	start := b.met.Start()
@@ -232,8 +235,8 @@ func (b *TrialBatch) LaneConductances(t int) *mat.Matrix {
 // matrix with one open-loop pulse per cell, hoisted across the batch:
 // the pulse pre-calculation and state advance run once on the shared
 // driven state, which is exact for every trial (see the type comment).
-// The validation, clamping and pulse-skipping semantics are
-// AnalyticArray.ProgramTargets'.
+// The validation, clamping and pulse-skipping semantics are the circuit
+// backend's ProgramTargets'.
 func (b *TrialBatch) ProgramTargets(targets *mat.Matrix, opts ProgramOptions) error {
 	if targets.Rows != b.cfg.Rows || targets.Cols != b.cfg.Cols {
 		return errors.New("hw: target matrix dimension mismatch")
@@ -266,7 +269,7 @@ func (b *TrialBatch) ProgramTargets(targets *mat.Matrix, opts ProgramOptions) er
 }
 
 // clampX bounds a driven log-resistance to the model's range, as the
-// per-trial backend does.
+// circuit backend does.
 func (b *TrialBatch) clampX(v float64) float64 {
 	model := b.cfg.Model
 	if v < model.XMin() {
@@ -288,9 +291,10 @@ func (b *TrialBatch) ResetAll() {
 }
 
 // InjectVariation re-draws every trial's parametric variation with the
-// given sigma, drawing trial t's cells from srcs[t] in AnalyticArray.
-// InjectVariation's order — the batched variation-injection kernel for
-// Monte-Carlo loops that reuse one fabricated batch across ensembles.
+// given sigma, drawing trial t's cells from srcs[t] in the circuit
+// backend's InjectVariation order — the batched variation-injection
+// kernel for Monte-Carlo loops that reuse one fabricated batch across
+// ensembles.
 func (b *TrialBatch) InjectVariation(sigma float64, srcs []*rng.Source) error {
 	if len(srcs) != b.trials {
 		return errors.New("hw: variation source count does not match batch trials")

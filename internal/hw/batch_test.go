@@ -1,16 +1,40 @@
 package hw_test
 
 import (
+	"math"
 	"testing"
 
 	"vortex/internal/device"
 	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/rng"
+	"vortex/internal/xbar"
 )
 
+// equivTol bounds the read-parity checks below; in practice the compared
+// paths are bit-identical.
+const equivTol = 1e-12
+
+func maxAbsDiff(a, b []float64) float64 {
+	worst := 0.0
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+func rampInput(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 0.1 + 0.9*float64(i)/float64(n)
+	}
+	return v
+}
+
 // batchConfig returns a mid-size array config; rwire > 0 exercises the
-// parasitic circuit solver, rwire == 0 the ideal fast paths.
+// parasitic solver, rwire == 0 the ideal-wire read.
 func batchConfig(rwire float64) hw.Config {
 	return hw.Config{
 		Rows:  64,
@@ -22,16 +46,16 @@ func batchConfig(rwire float64) hw.Config {
 }
 
 // buildProgrammed fabricates and open-loop programs one array.
-func buildProgrammed(t *testing.T, backend hw.Backend, cfg hw.Config, seed uint64) hw.Array {
+func buildProgrammed(t *testing.T, cfg hw.Config, seed uint64) hw.Array {
 	t.Helper()
-	arr, err := hw.New(backend, cfg, rng.New(seed))
+	arr, err := xbar.New(cfg, rng.New(seed))
 	if err != nil {
-		t.Fatalf("%s: %v", backend, err)
+		t.Fatal(err)
 	}
 	targets := mat.NewMatrix(cfg.Rows, cfg.Cols)
 	targets.Fill(100e3)
 	if err := arr.ProgramTargets(targets, hw.ProgramOptions{}); err != nil {
-		t.Fatalf("%s: program: %v", backend, err)
+		t.Fatalf("program: %v", err)
 	}
 	return arr
 }
@@ -50,22 +74,20 @@ func randomBatch(n, width int, seed uint64) [][]float64 {
 }
 
 // TestReadBatchMatchesSequentialReads checks the batched read API
-// returns exactly what a loop of single reads returns, on both backends
-// and (for the circuit backend) with and without wire parasitics.
+// returns exactly what a loop of single reads returns, with and without
+// wire parasitics.
 func TestReadBatchMatchesSequentialReads(t *testing.T) {
 	cases := []struct {
-		name    string
-		backend hw.Backend
-		rwire   float64
+		name  string
+		rwire float64
 	}{
-		{"analytic", hw.Analytic, 0},
-		{"circuit-ideal", hw.Circuit, 0},
-		{"circuit-parasitic", hw.Circuit, 2.5},
+		{"circuit-ideal", 0},
+		{"circuit-parasitic", 2.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := batchConfig(tc.rwire)
-			arr := buildProgrammed(t, tc.backend, cfg, 42)
+			arr := buildProgrammed(t, cfg, 42)
 			vins := randomBatch(16, cfg.Rows, 7)
 
 			// Sequential reference first: ReadBatch leaves the solver
@@ -97,41 +119,38 @@ func TestReadBatchMatchesSequentialReads(t *testing.T) {
 // TestReadIntoMatchesRead checks the allocation-free single-read form
 // against the allocating one.
 func TestReadIntoMatchesRead(t *testing.T) {
-	for _, backend := range []hw.Backend{hw.Analytic, hw.Circuit} {
-		cfg := batchConfig(0)
-		arr := buildProgrammed(t, backend, cfg, 3)
-		v := rampInput(cfg.Rows)
-		want, err := arr.Read(v)
-		if err != nil {
-			t.Fatalf("%s: read: %v", backend, err)
-		}
-		dst := make([]float64, cfg.Cols)
-		if err := arr.ReadInto(dst, v); err != nil {
-			t.Fatalf("%s: ReadInto: %v", backend, err)
-		}
-		if d := maxAbsDiff(dst, want); d > equivTol {
-			t.Errorf("%s: ReadInto diverges from Read by %g", backend, d)
-		}
+	cfg := batchConfig(0)
+	arr := buildProgrammed(t, cfg, 3)
+	v := rampInput(cfg.Rows)
+	want, err := arr.Read(v)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	dst := make([]float64, cfg.Cols)
+	if err := arr.ReadInto(dst, v); err != nil {
+		t.Fatalf("ReadInto: %v", err)
+	}
+	if d := maxAbsDiff(dst, want); d > equivTol {
+		t.Errorf("ReadInto diverges from Read by %g", d)
 	}
 }
 
-// TestSteadyStateReadAllocsZero asserts the ISSUE acceptance criterion:
-// after one warm-up read the Array.ReadInto hot path performs zero heap
-// allocations on every backend and wire regime.
+// TestSteadyStateReadAllocsZero asserts that after one warm-up read the
+// Array.ReadInto hot path performs zero heap allocations in both wire
+// regimes. TestTrialBatchReadAllocsZero is the same gate for the SoA
+// kernel.
 func TestSteadyStateReadAllocsZero(t *testing.T) {
 	cases := []struct {
-		name    string
-		backend hw.Backend
-		rwire   float64
+		name  string
+		rwire float64
 	}{
-		{"analytic", hw.Analytic, 0},
-		{"circuit-ideal", hw.Circuit, 0},
-		{"circuit-parasitic", hw.Circuit, 2.5},
+		{"circuit-ideal", 0},
+		{"circuit-parasitic", 2.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := batchConfig(tc.rwire)
-			arr := buildProgrammed(t, tc.backend, cfg, 11)
+			arr := buildProgrammed(t, cfg, 11)
 			v := rampInput(cfg.Rows)
 			dst := make([]float64, cfg.Cols)
 			// Warm the conductance cache and the solver workspace.

@@ -19,29 +19,27 @@ import (
 // each hammering reads on its own array. Distinct arrays must share no
 // mutable state, so this is race-clean without any locking.
 func TestConcurrentReadersOnSeparateArrays(t *testing.T) {
-	for _, backend := range []hw.Backend{hw.Analytic, hw.Circuit} {
-		t.Run(backend.String(), func(t *testing.T) {
-			const arrays = 4
-			var wg sync.WaitGroup
-			for a := 0; a < arrays; a++ {
-				arr := buildProgrammed(t, backend, batchConfig(0), uint64(40+a))
-				wg.Add(1)
-				go func(arr hw.Array) {
-					defer wg.Done()
-					v := randomBatch(1, arr.Rows(), 7)[0]
-					dst := make([]float64, arr.Cols())
-					for i := 0; i < 50; i++ {
-						if err := arr.ReadInto(dst, v); err != nil {
-							t.Error(err)
-							return
-						}
-						arr.Conductances() // cache reads race-free too
+	t.Run("circuit", func(t *testing.T) {
+		const arrays = 4
+		var wg sync.WaitGroup
+		for a := 0; a < arrays; a++ {
+			arr := buildProgrammed(t, batchConfig(0), uint64(40+a))
+			wg.Add(1)
+			go func(arr hw.Array) {
+				defer wg.Done()
+				v := randomBatch(1, arr.Rows(), 7)[0]
+				dst := make([]float64, arr.Cols())
+				for i := 0; i < 50; i++ {
+					if err := arr.ReadInto(dst, v); err != nil {
+						t.Error(err)
+						return
 					}
-				}(arr)
-			}
-			wg.Wait()
-		})
-	}
+					arr.Conductances() // cache reads race-free too
+				}
+			}(arr)
+		}
+		wg.Wait()
+	})
 }
 
 // TestSerializedReadReprogramOneArray interleaves reads, reprograms and
@@ -50,7 +48,7 @@ func TestConcurrentReadersOnSeparateArrays(t *testing.T) {
 // enforces. Under -race this passes only because of the external lock;
 // removing it makes the conductance cache and stats counters race.
 func TestSerializedReadReprogramOneArray(t *testing.T) {
-	arr := buildProgrammed(t, hw.Analytic, batchConfig(0), 99)
+	arr := buildProgrammed(t, batchConfig(0), 99)
 	targets := mat.NewMatrix(arr.Rows(), arr.Cols())
 	targets.Fill(200e3)
 	var mu sync.Mutex
@@ -85,22 +83,22 @@ func TestSerializedReadReprogramOneArray(t *testing.T) {
 }
 
 // TestPerArrayMetricsNamespacing checks the per-array metric helper:
-// two arrays of the same backend get disjoint series, the prefix is the
-// documented hw.<backend>.<id>. shape, and repeated lookups share the
+// two arrays of the same kind get disjoint series, the prefix is the
+// documented hw.<kind>.<id>. shape, and repeated lookups share the
 // cached instance (MetricsForArray is called on hot paths).
 func TestPerArrayMetricsNamespacing(t *testing.T) {
-	if got, want := hw.ArrayPrefix("analytic", "a0"), "hw.analytic.a0."; got != want {
+	if got, want := hw.ArrayPrefix(hw.CircuitKind, "a0"), "hw.circuit.a0."; got != want {
 		t.Fatalf("ArrayPrefix = %q, want %q", got, want)
 	}
-	m0 := hw.MetricsForArray("analytic", "a0")
-	m1 := hw.MetricsForArray("analytic", "a1")
+	m0 := hw.MetricsForArray(hw.CircuitKind, "a0")
+	m1 := hw.MetricsForArray(hw.CircuitKind, "a1")
 	if m0 == m1 {
 		t.Fatal("different arrays share one metrics instance")
 	}
-	if again := hw.MetricsForArray("analytic", "a0"); again != m0 {
+	if again := hw.MetricsForArray(hw.CircuitKind, "a0"); again != m0 {
 		t.Fatal("repeated lookup did not hit the cache")
 	}
-	if agg := hw.MetricsFor("analytic"); agg == m0 {
-		t.Fatal("per-array metrics aliased to the per-backend aggregate")
+	if agg := hw.MetricsFor(hw.CircuitKind); agg == m0 {
+		t.Fatal("per-array metrics aliased to the per-kind aggregate")
 	}
 }

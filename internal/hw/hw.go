@@ -1,34 +1,28 @@
 // Package hw is the hardware-abstraction layer between the device/array
 // substrate and everything above it (ncs, train, core, fault,
-// experiment). It owns the vocabulary every crossbar backend shares —
+// experiment). It owns the vocabulary every crossbar simulation shares —
 // array configuration, programming pulses and options, verify options
 // and reports, programming-cost counters — and defines the Array
 // interface the rest of the stack programs against.
 //
-// Two backends implement Array today:
+// One physics implementation sits behind Array: the circuit backend
+// (xbar.Crossbar), with per-cell device objects, the full switching
+// model, the IR-drop parasitic network, half-select disturb, retention
+// drift and endurance wear. At RWire = 0 its read is the ideal-wire
+// product y = x·W against a cached conductance matrix.
 //
-//   - the circuit backend (xbar.Crossbar): per-cell device objects with
-//     the full switching model, IR-drop parasitic network, half-select
-//     disturb, retention drift and endurance wear — the reference
-//     physics;
-//   - the analytic backend (AnalyticArray, this package): pure
-//     conductance-matrix math with lognormal variation applied as a
-//     static per-cell factor. No per-cell device objects, no parasitic
-//     network rebuilds. Exactly equivalent to the circuit backend when
-//     RWire = 0 (see the differential tests), and much faster on the
-//     read path, which dominates Monte-Carlo-heavy sweeps.
-//
-// Backends register themselves with Register; callers fabricate through
-// New without naming a concrete type, which is what lets future
-// backends (tiled, remote, batched) plug in without touching the layers
-// above.
+// TrialBatch (batch.go) is not a second backend but the
+// structure-of-arrays kernel for Monte-Carlo ensembles: many ideal-wire
+// arrays that share a programming history and differ only in their
+// fabrication draws, read through the fused lane kernels of package mat.
+// Each lane is bit-identical to a circuit array fabricated from the same
+// source; NewTrialBatch rejects every configuration where that does not
+// hold.
 package hw
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"vortex/internal/adc"
 	"vortex/internal/device"
@@ -36,7 +30,7 @@ import (
 	"vortex/internal/rng"
 )
 
-// Config describes a crossbar array instance, for any backend.
+// Config describes a crossbar array instance.
 type Config struct {
 	Rows, Cols int
 	Model      device.SwitchModel
@@ -80,7 +74,7 @@ type ProgramOptions struct {
 	// IR-drop (the compensation technique of paper reference [10], which
 	// OLD and Vortex use). Without it the raw pulse is applied at the
 	// degraded voltage — the CLD situation, where Eq. (2)'s beta and D
-	// effects emerge. Backends without a parasitic network ignore it.
+	// effects emerge. It has no effect at RWire = 0.
 	CompensateIR bool
 }
 
@@ -204,8 +198,7 @@ func (s *ProgramStats) Add(other ProgramStats) {
 // Array is the substrate boundary: one crossbar array of memristive
 // cells, whatever simulates it underneath. Everything above the device
 // layer (ncs, train, core, fault, experiment) programs against this
-// interface; concrete backends register with Register and are selected
-// by Backend kind at fabrication.
+// interface; xbar.New fabricates the one implementation.
 //
 // An Array is not safe for concurrent use; Monte-Carlo loops give each
 // trial its own instance.
@@ -217,13 +210,13 @@ type Array interface {
 	// Read returns the sensed column currents for row voltages v.
 	Read(v []float64) ([]float64, error)
 	// ReadInto computes the sensed column currents for row voltages v
-	// into dst (length Cols). It is the steady-state hot path: backends
+	// into dst (length Cols). It is the steady-state hot path: arrays
 	// keep reusable solver workspaces and cached conductance state so
 	// repeated calls on an unchanged array allocate nothing.
 	ReadInto(dst, v []float64) error
 	// ReadBatch reads a batch of input vectors in one call, returning
-	// one output row per input. Backends amortize solver setup across
-	// the batch (and, on the circuit backend, warm-start each solve
+	// one output row per input. Arrays amortize solver setup across
+	// the batch (and, with wire parasitics, warm-start each solve
 	// from the previous one), so per-read cost drops for digit-batch
 	// evaluation loops. The returned rows share one backing allocation.
 	ReadBatch(vins [][]float64) ([][]float64, error)
@@ -270,10 +263,9 @@ func AllocBatch(n, cols int) [][]float64 {
 	return out
 }
 
-// Ager is the optional retention-drift capability: backends that model
+// Ager is the optional retention-drift capability: arrays that model
 // per-cell drift exponents and an array clock implement it. Callers
-// type-assert and surface a descriptive error when the backend cannot
-// age.
+// type-assert and surface a descriptive error when an array cannot age.
 type Ager interface {
 	InitDrift(model device.DriftModel, src *rng.Source) error
 	AgeTo(t float64) error
@@ -282,100 +274,35 @@ type Ager interface {
 
 // DefectAccessor is the optional per-cell defect capability fault
 // injection needs: read and convert individual cells to stuck/open
-// states. Both built-in backends implement it.
+// states.
 type DefectAccessor interface {
 	Defect(i, j int) device.DefectKind
 	SetDefect(i, j int, k device.DefectKind)
 }
 
-// CellAccessor exposes the underlying per-cell device objects. Only
-// backends that actually simulate per-cell devices (the circuit
-// backend) implement it; wear modeling and white-box tests need it.
+// CellAccessor exposes the underlying per-cell device objects; wear
+// modeling and white-box tests need it.
 type CellAccessor interface {
 	Cell(i, j int) *device.Memristor
 }
 
-// Backend identifies a registered Array implementation.
+// Backend named the Array implementation an NCS was fabricated on when
+// there were two.
+//
+// Deprecated: the circuit backend is the only one. Backend, Circuit
+// and Analytic remain so existing callers compile; nothing branches on
+// them.
 type Backend int
 
 const (
-	// Circuit is the reference physics backend (xbar.Crossbar):
-	// per-cell devices, IR-drop network, disturb, drift, wear.
+	// Circuit is the circuit backend (xbar.Crossbar).
+	//
+	// Deprecated: see Backend.
 	Circuit Backend = iota
-	// Analytic is the fast conductance-matrix backend (AnalyticArray):
-	// exact for RWire = 0, no parasitic or per-cell device machinery.
-	Analytic
+
+	// Analytic is an alias of Circuit: the ideal-wire read it used to
+	// duplicate is the circuit backend's read at RWire = 0.
+	//
+	// Deprecated: see Backend.
+	Analytic = Circuit
 )
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case Circuit:
-		return "circuit"
-	case Analytic:
-		return "analytic"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// ParseBackend is the inverse of String.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "circuit", "":
-		return Circuit, nil
-	case "analytic":
-		return Analytic, nil
-	default:
-		return 0, fmt.Errorf("hw: unknown backend %q (want circuit or analytic)", s)
-	}
-}
-
-// Builder fabricates an Array for a configuration; the rng source
-// drives fabrication variation and defect draws.
-type Builder func(cfg Config, src *rng.Source) (Array, error)
-
-var (
-	buildersMu sync.RWMutex
-	builders   = map[Backend]Builder{}
-)
-
-// Register installs a backend builder. Backends call it from init;
-// re-registering a kind panics (it would silently reroute every
-// fabrication in the process).
-func Register(b Backend, fn Builder) {
-	if fn == nil {
-		panic("hw: nil backend builder")
-	}
-	buildersMu.Lock()
-	defer buildersMu.Unlock()
-	if _, dup := builders[b]; dup {
-		panic(fmt.Sprintf("hw: backend %v registered twice", b))
-	}
-	builders[b] = fn
-}
-
-// Registered returns the registered backend kinds, ascending.
-func Registered() []Backend {
-	buildersMu.RLock()
-	defer buildersMu.RUnlock()
-	out := make([]Backend, 0, len(builders))
-	for b := range builders {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// New fabricates an array on the given backend. The circuit backend
-// registers itself from package xbar; importing any layer above it
-// (ncs and up) links it in.
-func New(b Backend, cfg Config, src *rng.Source) (Array, error) {
-	buildersMu.RLock()
-	fn, ok := builders[b]
-	buildersMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("hw: backend %v not registered (missing import?)", b)
-	}
-	return fn(cfg, src)
-}

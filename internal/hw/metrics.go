@@ -7,14 +7,15 @@ import (
 	"vortex/internal/obs"
 )
 
-// Metrics is the per-backend instrumentation bundle the hardware layer
-// records into: operation counters (reads, programming pulses/batches,
-// verify correction rounds) plus per-op latency histograms, all named
-// "hw.<backend>.<metric>" in the process-default obs registry. Every
-// array of a given backend shares one bundle, so a Monte-Carlo sweep's
-// thousands of short-lived arrays aggregate into a handful of series —
-// which is exactly the circuit-vs-analytic comparison the snapshot is
-// for.
+// Metrics is the instrumentation bundle the hardware layer records
+// into: operation counters (reads, programming pulses/batches, verify
+// correction rounds) plus per-op latency histograms, all named
+// "hw.<kind>.<metric>" in the process-default obs registry. The kinds
+// are "circuit" (every xbar.Crossbar) and "trialbatch" (the SoA
+// ensemble kernel). Every array of a kind shares one bundle, so a
+// Monte-Carlo sweep's thousands of short-lived arrays aggregate into a
+// handful of series, and the snapshot shows how the work split between
+// the per-trial and the vectorized path.
 //
 // Counters and histograms are atomic; bundles are safe to share across
 // the parallel trial workers. All methods are nil-receiver safe.
@@ -43,30 +44,34 @@ var (
 	metricsBy = map[string]*Metrics{}
 )
 
-// MetricsFor returns the shared metrics bundle for a backend name
-// ("circuit", "analytic", ...), creating it on first use.
-func MetricsFor(backend string) *Metrics {
-	return metricsForPrefix("hw." + backend + ".")
+// CircuitKind is the metrics kind of circuit arrays (xbar.Crossbar),
+// whose series are named "hw.circuit.<metric>".
+const CircuitKind = "circuit"
+
+// MetricsFor returns the shared metrics bundle of an array kind
+// ("circuit", "trialbatch"), creating it on first use.
+func MetricsFor(kind string) *Metrics {
+	return metricsForPrefix("hw." + kind + ".")
 }
 
-// ArrayPrefix is the obs metric namespace of one identified array on a
-// backend: "hw.<backend>.<array-id>.". Layers that track many long-lived
+// ArrayPrefix is the obs metric namespace of one identified array of a
+// kind: "hw.<kind>.<array-id>.". Layers that track many long-lived
 // arrays at once (the fleet) derive their per-array series names from it
-// so they cannot collide with the per-backend aggregates or with each
+// so they cannot collide with the per-kind aggregates or with each
 // other; MetricsForArray uses the same prefix for the standard bundle.
-func ArrayPrefix(backend, arrayID string) string {
-	return "hw." + backend + "." + arrayID + "."
+func ArrayPrefix(kind, arrayID string) string {
+	return "hw." + kind + "." + arrayID + "."
 }
 
 // MetricsForArray returns the metrics bundle of one identified array,
-// namespaced per ArrayPrefix ("hw.<backend>.<array-id>.<metric>") in the
+// namespaced per ArrayPrefix ("hw.<kind>.<array-id>.<metric>") in the
 // process-default registry, creating it on first use. Unlike the
-// per-backend MetricsFor bundle — which aggregates every short-lived
-// Monte-Carlo array of a backend into one series — a per-array bundle
+// per-kind MetricsFor bundle — which aggregates every short-lived
+// Monte-Carlo array of a kind into one series — a per-array bundle
 // gives a long-lived array (a fleet member) its own series, so its
 // health trajectory is observable in isolation.
-func MetricsForArray(backend, arrayID string) *Metrics {
-	return metricsForPrefix(ArrayPrefix(backend, arrayID))
+func MetricsForArray(kind, arrayID string) *Metrics {
+	return metricsForPrefix(ArrayPrefix(kind, arrayID))
 }
 
 // metricsForPrefix builds (or returns the cached) bundle whose series
@@ -203,7 +208,7 @@ func (m *Metrics) ObserveBatchScores(start time.Time, lanes int) {
 
 // ObserveBatchProgram accounts one hoisted TrialBatch programming pass
 // started at start: pulses pulses were applied once and shared by trials
-// arrays, so the per-backend pulse and batch counters advance as if each
+// arrays, so the pulse and batch counters advance as if each
 // trial had been programmed individually (keeping the aggregate series
 // comparable to the per-trial path), while the hoisted-pass latency
 // lands in batch.program_ns.

@@ -9,10 +9,11 @@ import (
 	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/rng"
+	"vortex/internal/xbar"
 )
 
-// trialBatchConfig is an analytic-eligible ensemble configuration with
-// both variation mechanisms the batch must reproduce.
+// trialBatchConfig is a batch-eligible ensemble configuration with both
+// variation mechanisms the batch must reproduce.
 func trialBatchConfig() hw.Config {
 	return hw.Config{
 		Rows:       64,
@@ -52,13 +53,13 @@ func trialTargets(cfg hw.Config) *mat.Matrix {
 	return targets
 }
 
-// perTrialReference fabricates and programs the scalar AnalyticArray
+// perTrialReference fabricates and programs the per-trial circuit-array
 // ensemble the batch must match lane for lane.
-func perTrialReference(t *testing.T, cfg hw.Config, seeds []uint64, targets *mat.Matrix) []*hw.AnalyticArray {
+func perTrialReference(t *testing.T, cfg hw.Config, seeds []uint64, targets *mat.Matrix) []*xbar.Crossbar {
 	t.Helper()
-	arrs := make([]*hw.AnalyticArray, len(seeds))
+	arrs := make([]*xbar.Crossbar, len(seeds))
 	for k, s := range seeds {
-		arr, err := hw.NewAnalytic(cfg, rng.New(s))
+		arr, err := xbar.New(cfg, rng.New(s))
 		if err != nil {
 			t.Fatalf("trial %d: %v", k, err)
 		}
@@ -74,7 +75,7 @@ func perTrialReference(t *testing.T, cfg hw.Config, seeds []uint64, targets *mat
 
 // requireLaneParity asserts every trial lane's conductances and reads
 // are bit-identical to the per-trial reference arrays.
-func requireLaneParity(t *testing.T, b *hw.TrialBatch, arrs []*hw.AnalyticArray, drive []float64) {
+func requireLaneParity(t *testing.T, b *hw.TrialBatch, arrs []*xbar.Crossbar, drive []float64) {
 	t.Helper()
 	for k, arr := range arrs {
 		want := arr.Conductances()
@@ -109,11 +110,11 @@ func requireLaneParity(t *testing.T, b *hw.TrialBatch, arrs []*hw.AnalyticArray,
 	}
 }
 
-// TestTrialBatchMatchesPerTrialArrays pins the SoA backend's core
+// TestTrialBatchMatchesPerTrialArrays pins the SoA kernel's core
 // contract: fabrication draws, hoisted open-loop programming and fused
-// lane reads are bit-identical to an ensemble of per-trial
-// AnalyticArrays built from the same seeds — including a partially
-// filled last lane group.
+// lane reads are bit-identical to an ensemble of per-trial circuit
+// arrays built from the same seeds — including a partially filled last
+// lane group.
 func TestTrialBatchMatchesPerTrialArrays(t *testing.T) {
 	cfg := trialBatchConfig()
 	for _, trials := range []int{1, 8, 13} {
@@ -176,8 +177,8 @@ func TestTrialBatchResetAndReprogram(t *testing.T) {
 }
 
 // TestTrialBatchInjectVariation checks the batched variation-injection
-// kernel redraws every lane exactly as AnalyticArray.InjectVariation
-// does from the same sources.
+// kernel redraws every lane exactly as Crossbar.InjectVariation does
+// from the same sources.
 func TestTrialBatchInjectVariation(t *testing.T) {
 	cfg := trialBatchConfig()
 	seeds := trialSeeds(11, 31)

@@ -26,10 +26,10 @@ import (
 // seeds and training schemes.
 //
 // Validity: the trial batch hoists programming across trials, so the
-// configuration must be analytic-representable with no per-pulse noise
-// (RWire = 0, no disturb, SigmaCycle = 0) — NewTrialSet rejects anything
-// else, mirroring hw.NewTrialBatch. The row map is the identity: AMP row
-// remapping is a per-trial decision and stays on the per-trial path.
+// configuration must have ideal wires and no per-pulse noise (RWire = 0,
+// no disturb, SigmaCycle = 0) — hw.NewTrialBatch rejects anything else.
+// The row map is the identity: AMP row remapping is a per-trial decision
+// and stays on the per-trial path.
 //
 // A TrialSet, like the NCS it mirrors, is not safe for concurrent use.
 type TrialSet struct {
@@ -55,9 +55,6 @@ func NewTrialSet(cfg Config, seeds []uint64) (*TrialSet, error) {
 	}
 	if len(seeds) == 0 {
 		return nil, errors.New("ncs: trial set needs at least one seed")
-	}
-	if cfg.Backend != hw.Analytic {
-		return nil, errors.New("ncs: trial set requires the analytic backend")
 	}
 	physRows := cfg.Inputs + cfg.Redundancy
 	xc := hw.Config{

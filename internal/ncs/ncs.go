@@ -15,10 +15,7 @@ import (
 	"vortex/internal/hw"
 	"vortex/internal/mat"
 	"vortex/internal/rng"
-
-	// Link in the circuit backend so hw.New(hw.Circuit, ...) resolves;
-	// the analytic backend registers from within hw itself.
-	_ "vortex/internal/xbar"
+	"vortex/internal/xbar"
 )
 
 // Config describes an NCS instance.
@@ -32,11 +29,10 @@ type Config struct {
 	WMax       float64 // weight full scale; default 1
 	WriteLvls  int     // programming-DAC levels per polarity; 0 = continuous
 
-	// Backend selects the array simulation backend both crossbars are
-	// fabricated on. The zero value is hw.Circuit, the full-physics
-	// reference; hw.Analytic is the fast conductance-matrix backend,
-	// exactly equivalent when RWire = 0 (it rejects configurations it
-	// cannot represent faithfully).
+	// Backend is ignored: both crossbars are always circuit arrays
+	// (xbar.Crossbar).
+	//
+	// Deprecated: kept so existing callers compile; see hw.Backend.
 	Backend hw.Backend
 
 	// Device and array parameters.
@@ -94,7 +90,7 @@ func (c Config) Validate() error {
 
 // NCS is one fabricated system instance. The crossbar pair is held
 // behind the hardware-abstraction boundary: Pos and Neg are hw.Array
-// values fabricated on the configured backend.
+// values (circuit arrays from xbar.New).
 type NCS struct {
 	cfg    Config
 	Pos    hw.Array // positive weight array
@@ -134,11 +130,11 @@ func New(cfg Config, src *rng.Source) (*NCS, error) {
 		DefectRate: cfg.DefectRate,
 		Disturb:    cfg.Disturb,
 	}
-	pos, err := hw.New(cfg.Backend, xc, src.Split())
+	pos, err := xbar.New(xc, src.Split())
 	if err != nil {
 		return nil, err
 	}
-	neg, err := hw.New(cfg.Backend, xc, src.Split())
+	neg, err := xbar.New(xc, src.Split())
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +511,7 @@ func (n *NCS) agers() (hw.Ager, hw.Ager, error) {
 	pos, ok := n.Pos.(hw.Ager)
 	neg, ok2 := n.Neg.(hw.Ager)
 	if !ok || !ok2 {
-		return nil, nil, fmt.Errorf("ncs: backend %v does not model retention drift", n.cfg.Backend)
+		return nil, nil, errors.New("ncs: arrays do not model retention drift")
 	}
 	return pos, neg, nil
 }

@@ -11,12 +11,11 @@ import (
 	"vortex/internal/rng"
 )
 
-// trialSetConfig is an analytic-eligible ensemble configuration with
+// trialSetConfig is a batch-eligible ensemble configuration with
 // ADC quantization, write-level quantization, redundancy and both
 // fabrication variation mechanisms enabled.
 func trialSetConfig(inputs int) ncs.Config {
 	cfg := ncs.DefaultConfig(inputs, dataset.NumClasses)
-	cfg.Backend = hw.Analytic
 	cfg.Sigma = 0.4
 	cfg.DefectRate = 0.03
 	cfg.Redundancy = 6
@@ -146,7 +145,6 @@ func TestTrialSetRejectsIneligibleConfigs(t *testing.T) {
 		name   string
 		mutate func(*ncs.Config)
 	}{
-		{"circuit-backend", func(c *ncs.Config) { c.Backend = hw.Circuit }},
 		{"rwire", func(c *ncs.Config) { c.RWire = 2.5 }},
 		{"sigma-cycle", func(c *ncs.Config) { c.SigmaCycle = 0.02 }},
 		{"disturb", func(c *ncs.Config) { c.Disturb = true }},
@@ -200,7 +198,6 @@ func BenchmarkTrialSetEvaluateAll(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := ncs.DefaultConfig(set.Features(), dataset.NumClasses)
-	cfg.Backend = hw.Analytic
 	cfg.Sigma = 0.6
 	cfg.ADCBits = 6
 	seeds := make([]uint64, 32)

@@ -28,7 +28,7 @@ func TestGaugeSnapshotConsistencyUnderRace(t *testing.T) {
 	}
 	const gauges = 8
 	for i := 0; i < gauges; i++ {
-		r.Gauge(fmt.Sprintf("hw.analytic.a%d.health", i)).Set(legal[0])
+		r.Gauge(fmt.Sprintf("hw.circuit.a%d.health", i)).Set(legal[0])
 	}
 
 	var wg sync.WaitGroup
@@ -37,7 +37,7 @@ func TestGaugeSnapshotConsistencyUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g := r.Gauge(fmt.Sprintf("hw.analytic.a%d.health", i))
+			g := r.Gauge(fmt.Sprintf("hw.circuit.a%d.health", i))
 			for k := 0; ; k++ {
 				select {
 				case <-stop:

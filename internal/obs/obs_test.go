@@ -136,7 +136,7 @@ func TestHistogramEdgeValues(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hw.analytic.reads").Add(42)
+	r.Counter("hw.circuit.reads").Add(42)
 	r.Gauge("trial.rate").Set(0.914)
 	h := r.Histogram("span.epoch")
 	for i := 1; i <= 1000; i++ {
@@ -151,7 +151,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v\n%s", err, raw)
 	}
-	if back.Counters["hw.analytic.reads"] != 42 {
+	if back.Counters["hw.circuit.reads"] != 42 {
 		t.Errorf("counter lost in round trip: %+v", back.Counters)
 	}
 	if back.Gauges["trial.rate"] != 0.914 {
@@ -161,7 +161,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if hs.Count != 1000 || hs.Min != 1 || hs.Max != 1000 || hs.P50 == 0 {
 		t.Errorf("histogram summary lost in round trip: %+v", hs)
 	}
-	if names := s.CounterNames(); len(names) != 1 || names[0] != "hw.analytic.reads" {
+	if names := s.CounterNames(); len(names) != 1 || names[0] != "hw.circuit.reads" {
 		t.Errorf("CounterNames = %v", names)
 	}
 }

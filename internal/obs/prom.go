@@ -15,8 +15,9 @@ import (
 // planned vortexd scraper) ingests: counters as <name>_total, gauges
 // verbatim, histograms as cumulative le-buckets with _sum/_count plus
 // p50/p90/p99 quantile gauges. Dotted registry names map to underscored
-// exposition names (hw.analytic.read_ns -> hw_analytic_read_ns); any
-// character outside [a-zA-Z0-9_:] becomes '_'.
+// exposition names (hw.circuit.read_ns -> hw_circuit_read_ns); any
+// character outside [a-zA-Z0-9_:] becomes '_'. The raw registry name
+// rides in each family's # HELP text, escaped as the format requires.
 
 // sanitizeMetricName maps a registry name to a legal Prometheus metric
 // name.
@@ -35,6 +36,10 @@ func sanitizeMetricName(s string) string {
 	}
 	return string(b)
 }
+
+// helpEscaper escapes # HELP text: a raw newline in a registry name
+// would otherwise end the comment and start a malformed line.
+var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // bucketUpper returns the inclusive upper bound of a (non-sentinel)
 // histogram bucket — the le value of its cumulative Prometheus bucket.
@@ -84,15 +89,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, n := range counters {
 		name := sanitizeMetricName(n) + "_total"
 		fmt.Fprintf(bw, "# HELP %s counter %s\n# TYPE %s counter\n%s %d\n",
-			name, n, name, name, cByName[n].Value())
+			name, helpEscaper.Replace(n), name, name, cByName[n].Value())
 	}
 	for _, n := range gauges {
 		name := sanitizeMetricName(n)
 		fmt.Fprintf(bw, "# HELP %s gauge %s\n# TYPE %s gauge\n%s %s\n",
-			name, n, name, name, promFloat(gByName[n].Value()))
+			name, helpEscaper.Replace(n), name, name, promFloat(gByName[n].Value()))
 	}
 	for _, n := range hists {
-		writePromHistogram(bw, sanitizeMetricName(n), n, hByName[n])
+		writePromHistogram(bw, sanitizeMetricName(n), helpEscaper.Replace(n), hByName[n])
 	}
 	return bw.Flush()
 }

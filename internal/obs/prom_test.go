@@ -11,7 +11,7 @@ import (
 
 func TestSanitizeMetricName(t *testing.T) {
 	for in, want := range map[string]string{
-		"hw.analytic.read_ns":  "hw_analytic_read_ns",
+		"hw.circuit.read_ns":   "hw_circuit_read_ns",
 		"span.experiment.fig2": "span_experiment_fig2",
 		"ok_name:with:colons":  "ok_name:with:colons",
 		"9starts.with.digit":   "_starts_with_digit",
@@ -39,7 +39,7 @@ func TestBucketUpperBoundsBucket(t *testing.T) {
 
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hw.analytic.reads").Add(42)
+	r.Counter("hw.circuit.reads").Add(42)
 	r.Gauge("fleet.array0.health").Set(0.75)
 	h := r.Histogram("span.trial")
 	for i := 1; i <= 100; i++ {
@@ -54,7 +54,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 		t.Fatalf("own exposition fails validation: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"hw_analytic_reads_total 42",
+		"hw_circuit_reads_total 42",
 		"fleet_array0_health 0.75",
 		"span_trial_count 100",
 		"span_trial_sum 5050",

@@ -442,7 +442,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestServeRealFleet wires a real quick-scale analytic fleet under the
+// TestServeRealFleet wires a real quick-scale fleet under the
 // server and checks classifications flow end to end — the integration
 // path vortexd runs, minus the process boundary.
 func TestServeRealFleet(t *testing.T) {

@@ -30,20 +30,14 @@ import (
 // configuration type; see hw.Config for the field documentation.
 type Config = hw.Config
 
-// The crossbar is the reference (circuit) implementation of the
-// hardware-abstraction layer and registers itself as hw.Circuit.
+// The crossbar is the one implementation of the hardware-abstraction
+// layer (the circuit backend), with every optional capability.
 var (
 	_ hw.Array          = (*Crossbar)(nil)
 	_ hw.Ager           = (*Crossbar)(nil)
 	_ hw.DefectAccessor = (*Crossbar)(nil)
 	_ hw.CellAccessor   = (*Crossbar)(nil)
 )
-
-func init() {
-	hw.Register(hw.Circuit, func(cfg hw.Config, src *rng.Source) (hw.Array, error) {
-		return New(cfg, src)
-	})
-}
 
 // Crossbar is a fabricated array of memristors. Fabrication draws each
 // device's parametric variation and defects from the configured
@@ -79,7 +73,7 @@ func New(cfg Config, src *rng.Source) (*Crossbar, error) {
 		cfg:   cfg,
 		cells: make([]device.Memristor, cfg.Rows*cfg.Cols),
 		src:   src,
-		met:   hw.MetricsFor(hw.Circuit.String()),
+		met:   hw.MetricsFor(hw.CircuitKind),
 	}
 	for i := range xb.cells {
 		theta := 0.0
